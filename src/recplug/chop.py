@@ -4,8 +4,12 @@
 variants consume one field from each of two or three lists.  The
 ``hom_wrap`` family lifts a chopper over reader pipelines (functions from
 input records to states) so whole pipelines can be written without
-binding a single variable.
+binding a single variable.  A wrapped pipeline is a flat :class:`Pipeline`
+value, not a chain of nested closures, so running it takes one loop however
+many steps it has.
 """
+
+from typing import Callable
 
 from .errors import ArityError
 
@@ -49,16 +53,49 @@ def chop3(state, step):
     return (step(acc, a, b, c), ta, tb, tc)
 
 
+class Pipeline:
+    """A reader pipeline as data: a seed and the (chopper, step) pairs
+    plugged after it.
+
+    ``Pipeline(seed, steps)(*records)`` equals the nested closures
+    ``chopper_n(... chopper_1(seed(*records), step_1) ..., step_n)``, run
+    as one loop, so the Python stack stays flat at any arity.  Instances
+    are never mutated; wrapping one returns a new one.
+    """
+
+    __slots__ = ("seed", "steps")
+
+    def __init__(self, seed: Callable, steps: tuple):
+        self.seed = seed
+        self.steps = steps
+
+    def __call__(self, *records):
+        state = self.seed(*records)
+        for chopper, step in self.steps:
+            state = chopper(state, step)
+        return state
+
+
+def _extend(pipeline, chopper, step) -> Pipeline:
+    if isinstance(pipeline, Pipeline):
+        return Pipeline(pipeline.seed, pipeline.steps + ((chopper, step),))
+    return Pipeline(pipeline, ((chopper, step),))
+
+
+def _unary(state, chopper):
+    return chopper(state)
+
+
 def hom_wrap(chopper, pipeline, step):
-    return lambda r: chopper(pipeline(r), step)
+    return _extend(pipeline, chopper, step)
 
 
 def hom_wrap0(chopper, pipeline):
-    return lambda r: chopper(pipeline(r))
+    return _extend(pipeline, _unary, chopper)
 
 
 def hom_wrap2(chopper, pipeline, step):
-    return lambda ra, rb: chopper(pipeline(ra, rb), step)
+    return _extend(pipeline, chopper, step)
 
 
 def and_then(x, f):

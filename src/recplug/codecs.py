@@ -35,7 +35,7 @@ from .errors import (
     TruncatedError,
     WrongValueKindError,
 )
-from .pipelines import depure_show, showa
+from .pipelines import show_pipeline
 from .records import (
     I64_MAX,
     I64_MIN,
@@ -75,22 +75,38 @@ def p_pure(v) -> Parser:
     return lambda src, pos: ParseOk(v, pos)
 
 
+class ApChain:
+    """An applicative chain as data: ``head`` then each of ``parsers``, run
+    left to right in one loop.  Every parsed value is applied to the
+    accumulated one (a Builder or a function); the first error
+    short-circuits.  Instances are never mutated."""
+
+    __slots__ = ("head", "parsers")
+
+    def __init__(self, head: Parser, parsers: tuple):
+        self.head = head
+        self.parsers = parsers
+
+    def __call__(self, src, pos) -> ParserResult:
+        r = self.head(src, pos)
+        if isinstance(r, ParseErr):
+            return r
+        acc, pos = r.value, r.cursor
+        for parser in self.parsers:
+            r = parser(src, pos)
+            if isinstance(r, ParseErr):
+                return r
+            acc = apply_field(acc, r.value) if isinstance(acc, Builder) else acc(r.value)
+            pos = r.cursor
+        return ParseOk(acc, pos)
+
+
 def p_ap(pf: Parser, pa: Parser) -> Parser:
     """Run pf then pa left to right; apply pf's result (a Builder or a
     function) to pa's value.  The first error short-circuits."""
-
-    def run(src, pos):
-        rf = pf(src, pos)
-        if isinstance(rf, ParseErr):
-            return rf
-        ra = pa(src, rf.cursor)
-        if isinstance(ra, ParseErr):
-            return ra
-        step = rf.value
-        out = apply_field(step, ra.value) if isinstance(step, Builder) else step(ra.value)
-        return ParseOk(out, ra.cursor)
-
-    return run
+    if isinstance(pf, ApChain):
+        return ApChain(pf.head, pf.parsers + (pa,))
+    return ApChain(pf, (pa,))
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +166,11 @@ _LEXEME_PRIMITIVES = {Kind.BOOL: p_bool(), Kind.INT: p_int(), Kind.STR: p_str()}
 
 def parse_record(stream: Sequence[str], schema: RecordSchema):
     """Strict applicative parse: the whole stream must be consumed."""
-    parser = p_pure(Builder(schema))
     for f in schema.fields:
         if f.kind not in _LEXEME_PRIMITIVES:
             raise CodecError(f"no lexeme parser for {f.kind.value} field {f.name!r}")
-        parser = p_ap(parser, _LEXEME_PRIMITIVES[f.kind])
-    result = parser(stream, 0)
+    parsers = tuple(_LEXEME_PRIMITIVES[f.kind] for f in schema.fields)
+    result = ApChain(p_pure(Builder(schema)), parsers)(stream, 0)
     if isinstance(result, ParseErr):
         raise result.error
     if result.cursor != len(stream):
@@ -198,10 +213,7 @@ def _bin_chunk(spec: FieldSpec):
 
 def encode_binary(record, schema: RecordSchema) -> bytes:
     _check_binary_schema(schema)
-    pipeline = depure_show(schema.destruct)
-    for f in schema.fields:
-        pipeline = showa(pipeline, _bin_chunk(f))
-    chunks, _ = pipeline(record)
+    chunks, _ = show_pipeline(schema.destruct, map(_bin_chunk, schema.fields))(record)
     return b"".join(reversed(chunks))
 
 
@@ -241,10 +253,8 @@ _BINARY_PRIMITIVES = {Kind.BOOL: _b_bool, Kind.INT: _b_int, Kind.STR: _b_str}
 def decode_binary(image: bytes, schema: RecordSchema):
     """Strict inverse of encode_binary: every byte must be consumed."""
     _check_binary_schema(schema)
-    parser = p_pure(Builder(schema))
-    for f in schema.fields:
-        parser = p_ap(parser, _BINARY_PRIMITIVES[f.kind])
-    result = parser(image, 0)
+    parsers = tuple(_BINARY_PRIMITIVES[f.kind] for f in schema.fields)
+    result = ApChain(p_pure(Builder(schema)), parsers)(image, 0)
     if isinstance(result, ParseErr):
         raise result.error
     if result.cursor != len(image):
@@ -290,10 +300,7 @@ def _named_pair(spec: FieldSpec):
 
 def to_named(record, schema: RecordSchema) -> str:
     """Emit a flat object, keys in schema order, no whitespace."""
-    pipeline = depure_show(schema.destruct)
-    for f in schema.fields:
-        pipeline = showa(pipeline, _named_pair(f))
-    pairs, _ = pipeline(record)
+    pairs, _ = show_pipeline(schema.destruct, map(_named_pair, schema.fields))(record)
     return "{" + ",".join(reversed(pairs)) + "}"
 
 

@@ -10,7 +10,7 @@ functions extract the final result.
 from functools import reduce
 from operator import add
 
-from .chop import and_then, chop, chop2, hom_wrap, hom_wrap0, hom_wrap2
+from .chop import Pipeline, and_then, chop, chop2, hom_wrap, hom_wrap0, hom_wrap2
 from .errors import ArityError, EmptyInputError
 from .records import (
     Benchmark,
@@ -27,6 +27,10 @@ from .records import (
 
 def identity(v):
     return v
+
+
+def _keep_left(a, _):
+    return a
 
 
 def render_value(v: Value) -> str:
@@ -51,6 +55,12 @@ def _show_chopper(state, render):
 
 def showa(pipeline, render):
     return hom_wrap(_show_chopper, pipeline, render)
+
+
+def show_pipeline(destruct, renders):
+    """``depure_show(destruct)`` then ``showa`` with each of ``renders`` in
+    turn, built as one Pipeline in time linear in the number of renders."""
+    return Pipeline(depure_show(destruct), tuple((_show_chopper, r) for r in renders))
 
 
 def run_show(state) -> str:
@@ -153,10 +163,7 @@ def dup(pipeline):
 def show_record(type_id):
     """Pretty-printing pipeline for any registered record type."""
     schema = schema_for(type_id)
-    p = depure_show(schema.destruct)
-    for _ in range(schema.arity):
-        p = showa(p, render_value)
-    return p
+    return show_pipeline(schema.destruct, [render_value] * schema.arity)
 
 
 def map_device_demo():
@@ -196,6 +203,8 @@ def average(outputs: list) -> Benchmark:
 
     App fields are summed then divided by the count; log fields are
     concatenated.  The fold aborts on the first error (overflow included).
+    The logs are joined once after the fold: concatenating them step by
+    step would copy the growing log on every record.
     """
     if not outputs:
         raise EmptyInputError("average: need at least one benchmark")
@@ -203,10 +212,16 @@ def average(outputs: list) -> Benchmark:
 
     bappend = depure_zip("benchmark", destructure_benchmark, destructure_benchmark)
     bappend = zipa(bappend, add)
-    bappend = zipa(bappend, add)  # log concatenation, no separator
+    bappend = zipa(bappend, _keep_left)  # logs are joined after the fold
     bappend = zipa(bappend, add)
-    bappend = zipa(bappend, add)
-    folded = reduce(lambda a, b: run_zip(bappend(a, b)), outputs, Benchmark(0, "", 0, ""))
+    bappend = zipa(bappend, _keep_left)
+    summed = reduce(lambda a, b: run_zip(bappend(a, b)), outputs, Benchmark(0, "", 0, ""))
+    folded = Benchmark(
+        summed.first_app,
+        "".join(b.first_log for b in outputs),
+        summed.second_app,
+        "".join(b.second_log for b in outputs),
+    )
 
     bdivide = depure_map("benchmark_avg", destructure_benchmark)
     bdivide = mapa(bdivide, lambda v: v / n)

@@ -11,10 +11,14 @@ Multi-record states nest to the LEFT: the accumulator is consed first,
 then each record in order.  Right-nesting makes the first record's fields
 unreachable, so it is not supported; feeding such a state to a chopper
 raises ContinuationShapeError.
+
+Running a state recurses through one nested continuation per step, so CPS
+pipelines are limited to ``CPS_MAX_ARITY`` steps; building a longer one
+raises ArityLimitError instead of a RecursionError at run time.
 """
 
-from .chop import hom_wrap, hom_wrap2
-from .errors import ContinuationShapeError
+from .chop import Pipeline, hom_wrap
+from .errors import ArityLimitError, ContinuationShapeError
 from .pipelines import render_value
 from .records import Benchmark, Builder, Device, apply_field, finish, schema_for
 
@@ -34,6 +38,23 @@ CPS_DESTRUCTORS = {
     "benchmark_avg": destructure_benchmark_cps,
     "benchmark_argv": destructure_benchmark_cps,
 }
+
+
+#: The most steps a CPS pipeline may have.  A run nests about two Python
+#: frames per step, and the default recursion limit (1000) is reached near
+#: 495 steps; 400 leaves room for the caller's own stack.
+CPS_MAX_ARITY = 400
+
+
+def check_cps_arity(arity: int, op: str) -> None:
+    if arity > CPS_MAX_ARITY:
+        raise ArityLimitError(op, arity, CPS_MAX_ARITY)
+
+
+def _cps_step(chopper, pipeline, f, op):
+    steps = len(pipeline.steps) if isinstance(pipeline, Pipeline) else 0
+    check_cps_arity(steps + 1, op)
+    return hom_wrap(chopper, pipeline, f)
 
 
 def cons_cps(s, rest):
@@ -170,7 +191,8 @@ def depure_zip3_cps(type_id, destruct_a, destruct_b, destruct_c):
 
 
 # ---------------------------------------------------------------------------
-# The pipeline family, word for word the same wrappers as the pair track.
+# The pipeline family: the same hom_wrap wrappers as the pair track, within
+# the CPS arity limit.
 
 
 def _show_chopper_cps(state, render):
@@ -178,7 +200,7 @@ def _show_chopper_cps(state, render):
 
 
 def showa_cps(pipeline, render):
-    return hom_wrap(_show_chopper_cps, pipeline, render)
+    return _cps_step(_show_chopper_cps, pipeline, render, "showa_cps")
 
 
 def _map_chopper_cps(state, f):
@@ -186,7 +208,7 @@ def _map_chopper_cps(state, f):
 
 
 def mapa_cps(pipeline, f):
-    return hom_wrap(_map_chopper_cps, pipeline, f)
+    return _cps_step(_map_chopper_cps, pipeline, f, "mapa_cps")
 
 
 def _zip_chopper_cps(state, f):
@@ -194,7 +216,7 @@ def _zip_chopper_cps(state, f):
 
 
 def zipa_cps(pipeline, f):
-    return hom_wrap2(_zip_chopper_cps, pipeline, f)
+    return _cps_step(_zip_chopper_cps, pipeline, f, "zipa_cps")
 
 
 def _zip3_chopper_cps(state, f):
@@ -202,7 +224,7 @@ def _zip3_chopper_cps(state, f):
 
 
 def zipa3_cps(pipeline, f):
-    return lambda ra, rb, rc: _zip3_chopper_cps(pipeline(ra, rb, rc), f)
+    return _cps_step(_zip3_chopper_cps, pipeline, f, "zipa3_cps")
 
 
 def _single(*args):

@@ -1,6 +1,10 @@
 """Seeded random record generators shared by the test modules."""
 
-from recplug.records import Benchmark, Device
+import dataclasses
+import operator
+from contextlib import contextmanager
+
+from recplug.records import REGISTRY, Benchmark, Device, FieldSpec, Kind, RecordSchema
 
 # Headroom so the demo arithmetic (+100, +200, pairwise and three-way sums)
 # cannot leave the 64-bit signed range.
@@ -36,3 +40,47 @@ def random_benchmark(rng, app_lo=-(10**6), app_hi=10**6) -> Benchmark:
         rng.randint(app_lo, app_hi),
         random_text(rng),
     )
+
+
+WIDE_KINDS = (Kind.BOOL, Kind.INT, Kind.STR)
+# Field functions by kind; each keeps its value in kind and in i64 range.
+WIDE_MAPS = {Kind.BOOL: operator.not_, Kind.INT: lambda x: x ^ 0x5A5A, Kind.STR: lambda s: s[::-1]}
+WIDE_ZIPS = {Kind.BOOL: operator.xor, Kind.INT: operator.xor, Kind.STR: operator.add}
+
+
+@contextmanager
+def registered_wide(arity):
+    """Register a type of arity fields cycling bool, int, str, and remove it
+    on exit, so other tests see only the sample types."""
+    names = [f"f{i}" for i in range(arity)]
+    cls = dataclasses.make_dataclass(f"Wide{arity}", names, frozen=True)
+    fields_of = operator.attrgetter(*names)
+
+    def destruct(r):
+        out = ()
+        for v in reversed(fields_of(r)):
+            out = (v, out)
+        return out
+
+    specs = tuple(FieldSpec(n, WIDE_KINDS[i % 3]) for i, n in enumerate(names))
+    schema = RecordSchema(f"wide{arity}", cls, destruct, specs)
+    REGISTRY[schema.type_id] = schema
+    try:
+        yield schema
+    finally:
+        del REGISTRY[schema.type_id]
+
+
+def destructure_wide_cps(r):
+    values = dataclasses.astuple(r)
+    return lambda k: k(*values)
+
+
+def random_wide(rng, schema):
+    """A record of a registered_wide type; strings hold no spaces."""
+    gen = {
+        Kind.BOOL: lambda: rng.random() < 0.5,
+        Kind.INT: lambda: rng.randint(-(2**63), 2**63 - 1),
+        Kind.STR: lambda: "".join(rng.choices("abcxyz\"\\é中", k=rng.randint(0, 6))),
+    }
+    return schema.ctor(*(gen[f.kind]() for f in schema.fields))

@@ -5,6 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from recplug.codecs import (
+    _BINARY_PRIMITIVES,
+    _LEXEME_PRIMITIVES,
+    ApChain,
     ParseErr,
     ParseOk,
     decode_binary,
@@ -38,7 +41,12 @@ from recplug.records import (
     I64_MIN,
     REGISTRY,
     Benchmark,
+    Builder,
     Device,
+    FieldSpec,
+    Kind,
+    RecordSchema,
+    apply_field,
     schema_for,
 )
 
@@ -280,3 +288,67 @@ def test_one_schema_entry_per_type():
     for type_id, schema in REGISTRY.items():
         assert schema_for(type_id) is schema
         assert len({f.name for f in schema.fields}) == schema.arity
+
+
+# The nested-closure p_ap that ApChain replaced, kept as the reference.
+def nested_p_ap(pf, pa):
+    def run(src, pos):
+        rf = pf(src, pos)
+        if isinstance(rf, ParseErr):
+            return rf
+        ra = pa(src, rf.cursor)
+        if isinstance(ra, ParseErr):
+            return ra
+        step = rf.value
+        out = apply_field(step, ra.value) if isinstance(step, Builder) else step(ra.value)
+        return ParseOk(out, ra.cursor)
+
+    return run
+
+
+def chains(primitives, kinds):
+    """The applicative chain over kinds, built flat and nested."""
+    specs = tuple(FieldSpec(f"f{i}", k) for i, k in enumerate(kinds))
+    schema = RecordSchema("chain", tuple, None, specs)
+    flat = nested = p_pure(Builder(schema))
+    for k in kinds:
+        flat, nested = p_ap(flat, primitives[k]), nested_p_ap(nested, primitives[k])
+    assert isinstance(flat, ApChain) == bool(kinds)
+    return flat, nested
+
+
+def same_result(flat, nested):
+    if isinstance(nested, ParseErr):
+        assert isinstance(flat, ParseErr)
+        assert (flat.message, flat.position, type(flat.error)) == (
+            nested.message,
+            nested.position,
+            type(nested.error),
+        )
+    else:
+        assert flat == nested
+
+
+field_kinds = st.lists(st.sampled_from([Kind.BOOL, Kind.INT, Kind.STR]), max_size=6)
+lexeme_pool = ["True", "False", "0", "19", "-5", "019", "-0", "x", "", str(I64_MAX), str(I64_MAX + 1)]
+binary_pieces = [b"\x00", b"\x01", b"\x02", b"\x01\x00\x00\x00a", b"\x09\x00\x00\x00", b"\xff" * 8]
+
+
+@given(
+    field_kinds,
+    st.lists(st.one_of(st.sampled_from(lexeme_pool), st.text(max_size=3)), max_size=8),
+    st.integers(0, 3),
+)
+def test_flat_lexeme_chain_equals_nested(kinds, stream, start):
+    flat, nested = chains(_LEXEME_PRIMITIVES, kinds)
+    same_result(flat(stream, start), nested(stream, start))
+
+
+@given(
+    field_kinds,
+    st.one_of(st.binary(max_size=24), st.lists(st.sampled_from(binary_pieces), max_size=8).map(b"".join)),
+    st.integers(0, 3),
+)
+def test_flat_binary_chain_equals_nested(kinds, image, start):
+    flat, nested = chains(_BINARY_PRIMITIVES, kinds)
+    same_result(flat(image, start), nested(image, start))

@@ -1,4 +1,5 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,8 @@ from recplug.errors import (
     IntOverflowError,
     UnknownTypeError,
 )
+from recplug import pipelines
+from recplug.chop import Pipeline
 from recplug.pipelines import (
     average,
     depure_map,
@@ -264,11 +267,72 @@ def test_average_matches_oracle_on_random_lists():
 
 
 def test_average_overflow_aborts():
-    outputs = [Benchmark(I64_MAX, "a", 0, "b"), Benchmark(1, "c", 0, "d")]
-    with pytest.raises(IntOverflowError):
-        average(outputs)
+    for outputs in (
+        [Benchmark(I64_MAX, "a", 0, "b"), Benchmark(1, "c", 0, "d")],
+        [Benchmark(0, "a", I64_MAX, "b"), Benchmark(0, "c", 1, "d")],
+    ):
+        with pytest.raises(IntOverflowError):
+            average(outputs)
 
 
 def test_pipelines_are_pure():
     p = map_device_demo()
     assert p(EXAMPLE_DEVICE) == p(EXAMPLE_DEVICE)
+
+
+# The nested-closure readers that Pipeline replaced, kept as the reference.
+def nested_hom_wrap(chopper, pipeline, step):
+    return lambda r: chopper(pipeline(r), step)
+
+
+def nested_hom_wrap0(chopper, pipeline):
+    return lambda r: chopper(pipeline(r))
+
+
+field_values = st.one_of(st.booleans(), st.integers(-3, 3))
+MAP_PIECES = (identity, lambda v: not v, lambda v: v + 100)
+chain_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("acc"), st.sampled_from(range(len(MAP_PIECES)))),
+        st.tuples(st.just("push"), field_values),
+        st.just(("pop",)),
+        st.just(("dup",)),
+    ),
+    max_size=8,
+)
+
+
+def build_chain(acc_kind, ops):
+    """A show or map seed over a raw field list, then ops in order."""
+    if acc_kind == "show":
+        p = depure_show(identity)
+    else:
+        p = depure_map("device", identity)
+    for op in ops:
+        if op[0] == "acc":
+            p = showa(p, render_value) if acc_kind == "show" else mapa(p, MAP_PIECES[op[1]])
+        elif op[0] == "push":
+            p = push(p, op[1])
+        else:
+            p = {"pop": pop, "dup": dup}[op[0]](p)
+    return p
+
+
+def outcome(p, record):
+    try:
+        return p(record)
+    except Exception as exc:  # compared by class with the reference's
+        return type(exc)
+
+
+@given(st.sampled_from(["show", "map"]), st.lists(field_values, max_size=5), chain_ops)
+def test_pipeline_values_equal_nested_closures(acc_kind, fields, ops):
+    flat = build_chain(acc_kind, ops)
+    with patch.object(pipelines, "hom_wrap", nested_hom_wrap), patch.object(
+        pipelines, "hom_wrap0", nested_hom_wrap0
+    ):
+        nested = build_chain(acc_kind, ops)
+    assert isinstance(flat, Pipeline) == bool(ops)
+    assert not isinstance(nested, Pipeline)
+    record = field_list(*fields)
+    assert outcome(flat, record) == outcome(nested, record)
