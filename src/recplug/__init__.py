@@ -38,6 +38,7 @@ from .records import (
     finish,
     kind_of,
     list_fields,
+    register,
     schema_for,
     uncons,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "list_fields",
     "nest2",
     "nest3",
+    "register",
     "schema_for",
     "uncons",
     "unnest2",

@@ -8,7 +8,7 @@ error (one-line diagnostic on stderr), 2 usage error.
 import argparse
 import sys
 
-from . import codecs, pipelines, scott
+from . import codecs, pipelines, records, scott
 from .errors import Error
 from .records import EXAMPLE_DEVICE, Kind, RecordSchema, list_fields, schema_for
 
@@ -30,15 +30,20 @@ def _space_free(record, schema: RecordSchema) -> None:
             raise Error(f"field {spec.name!r} contains a space, not showable")
 
 
+def _by_encoding(args, by_pairs, by_cps):
+    """The result --encoding selects, once both tracks are shown to agree."""
+    if by_pairs != by_cps:
+        raise Error("encoding tracks disagree")
+    return by_cps if args.encoding == "scott" else by_pairs
+
+
 def _show(args, stdin, stdout) -> None:
     schema = schema_for(args.type)
     record = _read_record(stdin, schema)
     _space_free(record, schema)
     by_pairs = pipelines.run_show(pipelines.show_record(args.type)(record))
     by_cps = scott.run_show_cps(scott.show_record_cps(args.type)(record))
-    if by_pairs != by_cps:
-        raise Error("encoding tracks disagree")
-    print(by_cps if args.encoding == "scott" else by_pairs, file=stdout)
+    print(_by_encoding(args, by_pairs, by_cps), file=stdout)
 
 
 def _parse(args, stdin, stdout) -> None:
@@ -50,9 +55,7 @@ def _parse(args, stdin, stdout) -> None:
 def _map_demo(args, stdin, stdout) -> None:
     by_pairs = pipelines.run_map(pipelines.map_device_demo()(EXAMPLE_DEVICE))
     by_cps = scott.run_map_cps(scott.map_device_demo_cps()(EXAMPLE_DEVICE))
-    if by_pairs != by_cps:
-        raise Error("encoding tracks disagree")
-    result = by_cps if args.encoding == "scott" else by_pairs
+    result = _by_encoding(args, by_pairs, by_cps)
     print(codecs.to_named(result, schema_for("device")), file=stdout)
 
 
@@ -60,9 +63,7 @@ def _zip_demo(args, stdin, stdout) -> None:
     mapped = pipelines.run_map(pipelines.map_device_demo()(EXAMPLE_DEVICE))
     by_pairs = pipelines.run_zip(pipelines.zip_device_demo()(EXAMPLE_DEVICE, mapped))
     by_cps = scott.run_zip_cps(scott.zip_device_demo_cps()(EXAMPLE_DEVICE, mapped))
-    if by_pairs != by_cps:
-        raise Error("encoding tracks disagree")
-    result = by_cps if args.encoding == "scott" else by_pairs
+    result = _by_encoding(args, by_pairs, by_cps)
     print(codecs.to_named(result, schema_for("device")), file=stdout)
 
 
@@ -105,7 +106,7 @@ def _named_bridge(args, stdin, stdout) -> None:
 
 
 def _add_type(sub) -> None:
-    sub.add_argument("--type", required=True, choices=("device", "benchmark"))
+    sub.add_argument("--type", required=True, choices=sorted(records.REGISTRY))
 
 
 def _add_encoding(sub) -> None:

@@ -71,6 +71,27 @@ def _fail(error: CodecError, position: int) -> ParseErr:
     return ParseErr(str(error), position, error)
 
 
+def _per_field(table: dict, schema: RecordSchema, form: str) -> tuple:
+    """``table``'s primitive for each field of ``schema``, in field order;
+    the one place a wire form's kind support is decided."""
+    for f in schema.fields:
+        if f.kind not in table:
+            raise CodecError(f"{f.kind.value} field {f.name!r} has no {form} form")
+    return tuple(table[f.kind] for f in schema.fields)
+
+
+def _checked(spec: FieldSpec, v):
+    """``v``, checked to be an in-range value of the field's kind."""
+    got = kind_of(v)
+    if got is not spec.kind:
+        raise WrongValueKindError(
+            f"field {spec.name!r} expects {spec.kind.value}, got {got.value}"
+        )
+    if got is Kind.INT:
+        check_int_range(v)
+    return v
+
+
 def p_pure(v) -> Parser:
     return lambda src, pos: ParseOk(v, pos)
 
@@ -166,10 +187,7 @@ _LEXEME_PRIMITIVES = {Kind.BOOL: p_bool(), Kind.INT: p_int(), Kind.STR: p_str()}
 
 def parse_record(stream: Sequence[str], schema: RecordSchema):
     """Strict applicative parse: the whole stream must be consumed."""
-    for f in schema.fields:
-        if f.kind not in _LEXEME_PRIMITIVES:
-            raise CodecError(f"no lexeme parser for {f.kind.value} field {f.name!r}")
-    parsers = tuple(_LEXEME_PRIMITIVES[f.kind] for f in schema.fields)
+    parsers = _per_field(_LEXEME_PRIMITIVES, schema, "lexeme")
     result = ApChain(p_pure(Builder(schema)), parsers)(stream, 0)
     if isinstance(result, ParseErr):
         raise result.error
@@ -185,35 +203,28 @@ def parse_record(stream: Sequence[str], schema: RecordSchema):
 # Binary track
 
 
-def _check_binary_schema(schema: RecordSchema) -> None:
-    for f in schema.fields:
-        if f.kind is Kind.REAL:
-            raise CodecError(f"real field {f.name!r} has no binary encoding")
+def _e_str(v) -> bytes:
+    raw = v.encode("utf-8")
+    if len(raw) > 0xFFFFFFFF:
+        raise CodecError(f"string of {len(raw)} bytes too long for a 4-byte length")
+    return struct.pack("<I", len(raw)) + raw
 
 
-def _bin_chunk(spec: FieldSpec):
-    def emit(v) -> bytes:
-        got = kind_of(v)
-        if got is not spec.kind:
-            raise WrongValueKindError(
-                f"field {spec.name!r} expects {spec.kind.value}, got {got.value}"
-            )
-        if spec.kind is Kind.BOOL:
-            return b"\x01" if v else b"\x00"
-        if spec.kind is Kind.INT:
-            check_int_range(v)
-            return struct.pack("<q", v)
-        raw = v.encode("utf-8")
-        if len(raw) > 0xFFFFFFFF:
-            raise CodecError(f"field {spec.name!r} too long for a 4-byte length")
-        return struct.pack("<I", len(raw)) + raw
+_BINARY_ENCODERS = {
+    Kind.BOOL: struct.Struct("<?").pack,  # 0x00 or 0x01
+    Kind.INT: struct.Struct("<q").pack,
+    Kind.STR: _e_str,
+}
 
-    return emit
+
+def _bin_chunk(spec: FieldSpec, encode):
+    return lambda v: encode(_checked(spec, v))
 
 
 def encode_binary(record, schema: RecordSchema) -> bytes:
-    _check_binary_schema(schema)
-    chunks, _ = show_pipeline(schema.destruct, map(_bin_chunk, schema.fields))(record)
+    encoders = _per_field(_BINARY_ENCODERS, schema, "binary")
+    emits = map(_bin_chunk, schema.fields, encoders)
+    chunks, _ = show_pipeline(schema.destruct, emits)(record)
     return b"".join(reversed(chunks))
 
 
@@ -252,8 +263,7 @@ _BINARY_PRIMITIVES = {Kind.BOOL: _b_bool, Kind.INT: _b_int, Kind.STR: _b_str}
 
 def decode_binary(image: bytes, schema: RecordSchema):
     """Strict inverse of encode_binary: every byte must be consumed."""
-    _check_binary_schema(schema)
-    parsers = tuple(_BINARY_PRIMITIVES[f.kind] for f in schema.fields)
+    parsers = _per_field(_BINARY_PRIMITIVES, schema, "binary")
     result = ApChain(p_pure(Builder(schema)), parsers)(image, 0)
     if isinstance(result, ParseErr):
         raise result.error
@@ -285,17 +295,8 @@ def _json_value(v) -> str:
 
 
 def _named_pair(spec: FieldSpec):
-    def emit(v) -> str:
-        got = kind_of(v)
-        if got is not spec.kind:
-            raise WrongValueKindError(
-                f"field {spec.name!r} expects {spec.kind.value}, got {got.value}"
-            )
-        if got is Kind.INT:
-            check_int_range(v)
-        return f'"{_json_escape(spec.name)}":{_json_value(v)}'
-
-    return emit
+    key = f'"{_json_escape(spec.name)}":'
+    return lambda v: key + _json_value(_checked(spec, v))
 
 
 def to_named(record, schema: RecordSchema) -> str:

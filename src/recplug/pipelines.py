@@ -166,20 +166,18 @@ def show_record(type_id):
     return show_pipeline(schema.destruct, [render_value] * schema.arity)
 
 
+#: The device demos' field functions, one per field, shared by both tracks.
+DEVICE_MAPS = (lambda b: not b, lambda x: x + 100, lambda y: y + 200)
+DEVICE_ZIPS = (lambda a, b: a and b, add, add)
+
+
 def map_device_demo():
-    p = depure_map("device", destructure_device)
-    p = mapa(p, lambda b: not b)
-    p = mapa(p, lambda x: x + 100)
-    p = mapa(p, lambda y: y + 200)
-    return p
+    return reduce(mapa, DEVICE_MAPS, depure_map("device", destructure_device))
 
 
 def zip_device_demo():
-    p = depure_zip("device", destructure_device, destructure_device)
-    p = zipa(p, lambda a, b: a and b)
-    p = zipa(p, add)
-    p = zipa(p, add)
-    return p
+    seed = depure_zip("device", destructure_device, destructure_device)
+    return reduce(zipa, DEVICE_ZIPS, seed)
 
 
 def remap_device_demo():

@@ -54,12 +54,12 @@ def mapper_cps(type_id: str, destruct_cps) -> PlugInstance:
     )
 
 
-def shower(destruct, arity: int) -> PlugInstance:
+def shower(type_id: str, destruct) -> PlugInstance:
     return PlugInstance(
         "shower",
         "renderer",
         pipelines.depure_show(destruct),
-        arity,
+        schema_for(type_id).arity,
         pipelines.showa,
         pipelines.run_show,
     )

@@ -8,8 +8,9 @@ yields the record after exactly arity applications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Any, Callable, Union
 
 from .errors import ArityError, FieldTypeError, IntOverflowError, UnknownTypeError
@@ -74,14 +75,6 @@ class Benchmark:
 
 
 EXAMPLE_DEVICE = Device(block=False, major=19, minor=1)
-
-
-def destructure_device(d: Device) -> FieldList:
-    return (d.block, (d.major, (d.minor, ())))
-
-
-def destructure_benchmark(b: Benchmark) -> FieldList:
-    return (b.first_app, (b.first_log, (b.second_app, (b.second_log, ()))))
 
 
 # ---------------------------------------------------------------------------
@@ -151,41 +144,50 @@ class RecordSchema:
 REGISTRY: dict[str, RecordSchema] = {}
 
 
-def _register(schema: RecordSchema) -> RecordSchema:
-    REGISTRY[schema.type_id] = schema
+def _pair_destructor(names: tuple[str, ...]) -> Callable[[Any], FieldList]:
+    """r -> the field list of r's attributes ``names``, in order."""
+    getters = [attrgetter(n) for n in reversed(names)]
+
+    def destruct(r) -> FieldList:
+        out: FieldList = ()
+        for get in getters:
+            out = (get(r), out)
+        return out
+
+    return destruct
+
+
+def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
+    """Declare the dataclass ``cls`` as record type ``type_id``.
+
+    The fields of ``cls`` in declaration order give the field list; field i
+    has kind ``kinds[i]`` and is named ``wire_names[i]`` on the wire (the
+    attribute name when ``wire_names`` is empty).  The destructor is derived
+    from the same fields, and the schema is stored in ``REGISTRY``.
+    """
+    names = tuple(f.name for f in fields(cls))
+    wires = wire_names or names
+    specs = tuple(FieldSpec(w, k) for _, w, k in zip(names, wires, kinds, strict=True))
+    schema = RecordSchema(type_id, cls, _pair_destructor(names), specs)
+    REGISTRY[type_id] = schema
     return schema
 
 
-DEVICE_SCHEMA = _register(
-    RecordSchema(
-        "device",
-        Device,
-        destructure_device,
-        (
-            FieldSpec("block", Kind.BOOL),
-            FieldSpec("major", Kind.INT),
-            FieldSpec("minor", Kind.INT),
-        ),
-    )
-)
+DEVICE_SCHEMA = register("device", Device, (Kind.BOOL, Kind.INT, Kind.INT))
 
 _BENCHMARK_NAMES = ("firstApp", "firstLog", "secondApp", "secondLog")
 
-
-def _benchmark_schema(type_id: str, app_kind: Kind) -> RecordSchema:
-    kinds = (app_kind, Kind.STR, app_kind, Kind.STR)
-    return RecordSchema(
-        type_id,
-        Benchmark,
-        destructure_benchmark,
-        tuple(FieldSpec(n, k) for n, k in zip(_BENCHMARK_NAMES, kinds)),
-    )
-
-
 # One entry per instantiation of the polymorphic app fields.
-BENCHMARK_SCHEMA = _register(_benchmark_schema("benchmark", Kind.INT))
-AVGS_SCHEMA = _register(_benchmark_schema("benchmark_avg", Kind.REAL))
-ARGV_SCHEMA = _register(_benchmark_schema("benchmark_argv", Kind.STR))
+BENCHMARK_SCHEMA = register(
+    "benchmark", Benchmark, (Kind.INT, Kind.STR) * 2, _BENCHMARK_NAMES
+)
+AVGS_SCHEMA = register(
+    "benchmark_avg", Benchmark, (Kind.REAL, Kind.STR) * 2, _BENCHMARK_NAMES
+)
+ARGV_SCHEMA = register("benchmark_argv", Benchmark, (Kind.STR,) * 4, _BENCHMARK_NAMES)
+
+destructure_device = DEVICE_SCHEMA.destruct
+destructure_benchmark = BENCHMARK_SCHEMA.destruct
 
 
 def schema_for(type_id: str) -> RecordSchema:
@@ -207,15 +209,8 @@ class Builder:
     supplied: tuple = ()
 
 
-def builder_new(type_id: str, arity: int) -> Builder:
-    schema = schema_for(type_id)
-    if arity != schema.arity:
-        raise ArityError(
-            "builder_new",
-            schema.arity,
-            f"builder_new: {type_id} has arity {schema.arity}, got {arity}",
-        )
-    return Builder(schema)
+def builder_new(type_id: str) -> Builder:
+    return Builder(schema_for(type_id))
 
 
 def apply_field(b: Builder, v: Value) -> Builder:

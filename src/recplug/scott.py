@@ -17,27 +17,28 @@ pipelines are limited to ``CPS_MAX_ARITY`` steps; building a longer one
 raises ArityLimitError instead of a RecursionError at run time.
 """
 
+from functools import reduce
+
 from .chop import Pipeline, hom_wrap
 from .errors import ArityLimitError, ContinuationShapeError
-from .pipelines import render_value
-from .records import Benchmark, Builder, Device, apply_field, finish, schema_for
+from .pipelines import DEVICE_MAPS, DEVICE_ZIPS, render_value
+from .records import Builder, apply_field, finish, list_fields, schema_for
 
 
-def destructure_device_cps(d: Device):
-    return lambda k: k(d.block, d.major, d.minor)
+def cps_destructor(type_id):
+    """The continuation-passing destructor of a registered type, derived
+    from its field-list destructor: r -> lambda k: k(field1, ..., fieldN)."""
+    destruct = schema_for(type_id).destruct
+
+    def destruct_cps(r):
+        values = list_fields(destruct(r))
+        return lambda k: k(*values)
+
+    return destruct_cps
 
 
-def destructure_benchmark_cps(b: Benchmark):
-    return lambda k: k(b.first_app, b.first_log, b.second_app, b.second_log)
-
-
-#: CPS destructors by type id (the benchmark instantiations share one shape).
-CPS_DESTRUCTORS = {
-    "device": destructure_device_cps,
-    "benchmark": destructure_benchmark_cps,
-    "benchmark_avg": destructure_benchmark_cps,
-    "benchmark_argv": destructure_benchmark_cps,
-}
+destructure_device_cps = cps_destructor("device")
+destructure_benchmark_cps = cps_destructor("benchmark")
 
 
 #: The most steps a CPS pipeline may have.  A run nests about two Python
@@ -259,24 +260,15 @@ def run_zip3_cps(state):
 
 
 def show_record_cps(type_id):
-    schema = schema_for(type_id)
-    p = depure_show_cps(CPS_DESTRUCTORS[type_id])
-    for _ in range(schema.arity):
-        p = showa_cps(p, render_value)
-    return p
+    renders = [render_value] * schema_for(type_id).arity
+    return reduce(showa_cps, renders, depure_show_cps(cps_destructor(type_id)))
 
 
 def map_device_demo_cps():
-    p = depure_map_cps("device", destructure_device_cps)
-    p = mapa_cps(p, lambda b: not b)
-    p = mapa_cps(p, lambda x: x + 100)
-    p = mapa_cps(p, lambda y: y + 200)
-    return p
+    seed = depure_map_cps("device", destructure_device_cps)
+    return reduce(mapa_cps, DEVICE_MAPS, seed)
 
 
 def zip_device_demo_cps():
-    p = depure_zip_cps("device", destructure_device_cps, destructure_device_cps)
-    p = zipa_cps(p, lambda a, b: a and b)
-    p = zipa_cps(p, lambda a, b: a + b)
-    p = zipa_cps(p, lambda a, b: a + b)
-    return p
+    seed = depure_zip_cps("device", destructure_device_cps, destructure_device_cps)
+    return reduce(zipa_cps, DEVICE_ZIPS, seed)

@@ -4,7 +4,8 @@ import dataclasses
 import operator
 from contextlib import contextmanager
 
-from recplug.records import REGISTRY, Benchmark, Device, FieldSpec, Kind, RecordSchema
+from recplug.records import REGISTRY, Benchmark, Device, Kind, register
+from recplug.scott import cps_destructor
 
 # Headroom so the demo arithmetic (+100, +200, pairwise and three-way sums)
 # cannot leave the 64-bit signed range.
@@ -54,17 +55,8 @@ def registered_wide(arity):
     on exit, so other tests see only the sample types."""
     names = [f"f{i}" for i in range(arity)]
     cls = dataclasses.make_dataclass(f"Wide{arity}", names, frozen=True)
-    fields_of = operator.attrgetter(*names)
-
-    def destruct(r):
-        out = ()
-        for v in reversed(fields_of(r)):
-            out = (v, out)
-        return out
-
-    specs = tuple(FieldSpec(n, WIDE_KINDS[i % 3]) for i, n in enumerate(names))
-    schema = RecordSchema(f"wide{arity}", cls, destruct, specs)
-    REGISTRY[schema.type_id] = schema
+    kinds = tuple(WIDE_KINDS[i % 3] for i in range(arity))
+    schema = register(f"wide{arity}", cls, kinds)
     try:
         yield schema
     finally:
@@ -72,8 +64,8 @@ def registered_wide(arity):
 
 
 def destructure_wide_cps(r):
-    values = dataclasses.astuple(r)
-    return lambda k: k(*values)
+    """The CPS destructor scott derives for the registered_wide type of r."""
+    return cps_destructor(f"wide{len(dataclasses.fields(r))}")(r)
 
 
 def random_wide(rng, schema):

@@ -237,7 +237,7 @@ def test_criterion_5_plug_coherence():
                 da,
             ) == pipelines.run_map(direct_map(da))
             assert plug.run_instance(
-                chain(plug.shower(destructure_device, 3), [pipelines.render_value] * 3),
+                chain(plug.shower("device", destructure_device), [pipelines.render_value] * 3),
                 da,
             ) == pipelines.run_show(direct_show(da))
             assert plug.run_instance(

@@ -1,4 +1,6 @@
 import io
+import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from recplug.cli import main
+from recplug.records import REGISTRY, Kind
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -92,6 +95,53 @@ def test_domain_errors_exit_1(monkeypatch, capsys, argv, stdin_text):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1  # one-line diagnostic
+
+
+# Per field kind: a sample value, its lexeme, and its binary image (None
+# where the kind has no binary form).
+SAMPLES = {
+    Kind.BOOL: (True, "True", b"\x01"),
+    Kind.INT: (-7, "-7", struct.pack("<q", -7)),
+    Kind.STR: ("a\\b", "a\\b", struct.pack("<I", 3) + b"a\\b"),
+    Kind.REAL: (2.5, "2.5", None),
+}
+
+
+def typed_io(schema, command):
+    """(stdin line, expected stdout line) for a typed command on a sample
+    record of schema; stdout is None where a field's kind has no form in
+    the command's wire format (reals have neither a lexeme parser nor a
+    binary form)."""
+    samples = [SAMPLES[f.kind] for f in schema.fields]
+    pairs = [(f.name, s[0]) for f, s in zip(schema.fields, samples)]
+    canon = json.dumps(dict(pairs), separators=(",", ":"))
+    shuffled = json.dumps(dict(reversed(pairs)), separators=(",", ":"))
+    lexeme = " ".join(s[1] for s in samples)
+    has_real = any(f.kind is Kind.REAL for f in schema.fields)
+    image = b"".join(s[2] or b"" for s in samples).hex()
+    return {
+        "show": (shuffled, lexeme),
+        "parse": (lexeme, None if has_real else canon),
+        "encode-bin": (shuffled, None if has_real else image),
+        "decode-bin": (image, None if has_real else canon),
+        "to-json": (shuffled, canon),
+        "from-json": (shuffled, canon),
+    }[command]
+
+
+TYPED_COMMANDS = ["show", "parse", "encode-bin", "decode-bin", "to-json", "from-json"]
+
+
+@pytest.mark.parametrize("command", TYPED_COMMANDS)
+@pytest.mark.parametrize("type_id", sorted(REGISTRY))
+def test_every_registered_type(monkeypatch, capsys, type_id, command):
+    stdin_line, expected = typed_io(REGISTRY[type_id], command)
+    code, out, err = run_cli(monkeypatch, capsys, [command, "--type", type_id], stdin_line + "\n")
+    if expected is None:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert (code, out, err) == (0, expected + "\n", "")
 
 
 @pytest.mark.parametrize("fixture,type_name", [("device.json", "device"), ("benchmark.json", "benchmark")])

@@ -48,7 +48,7 @@ def test_mapper_cps_chain():
 
 
 def test_shower_chain():
-    inst = plug_all(shower(destructure_device, 3), [render_value] * 3)
+    inst = plug_all(shower("device", destructure_device), [render_value] * 3)
     assert run_instance(inst, EXAMPLE_DEVICE) == "False 19 1"
 
 
@@ -116,7 +116,7 @@ def test_shower_coherence_random():
     rng = random.Random(19)
     for _ in range(25):
         d = random_device(rng)
-        inst = plug_all(shower(destructure_device, 3), [render_value] * 3)
+        inst = plug_all(shower("device", destructure_device), [render_value] * 3)
         direct = depure_show(destructure_device)
         for _ in range(3):
             direct = showa(direct, render_value)

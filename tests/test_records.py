@@ -96,12 +96,10 @@ def test_destructure_preserves_field_count():
 
 
 def test_builder_new():
-    assert builder_new("device", 3) == Builder(schema_for("device"))
-    assert builder_new("benchmark", 4) == Builder(schema_for("benchmark"))
-    with pytest.raises(ArityError):
-        builder_new("device", 2)
+    assert builder_new("device") == Builder(schema_for("device"))
+    assert builder_new("benchmark") == Builder(schema_for("benchmark"))
     with pytest.raises(UnknownTypeError):
-        builder_new("gadget", 3)
+        builder_new("gadget")
 
 
 def test_apply_field_definition():

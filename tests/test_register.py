@@ -1,0 +1,167 @@
+"""A new record type is one ``register(...)`` call: its destructors, every
+pipeline family, the plug instances, the three codecs and the CLI's
+``--type`` choices all follow from that one declaration."""
+
+import io
+import json
+import operator
+import struct
+from dataclasses import dataclass
+from functools import reduce
+
+import pytest
+
+from recplug import cli, plug, register
+from recplug.codecs import (
+    decode_binary,
+    encode_binary,
+    from_named,
+    lexemes,
+    parse_record,
+    to_named,
+)
+from recplug.pipelines import (
+    depure_map,
+    depure_zip,
+    mapa,
+    render_value,
+    run_map,
+    run_show,
+    run_zip,
+    show_record,
+    zipa,
+)
+from recplug.records import REGISTRY, Kind
+from recplug.scott import (
+    cps_destructor,
+    depure_map_cps,
+    mapa_cps,
+    run_map_cps,
+    run_show_cps,
+    show_record_cps,
+)
+
+
+@dataclass(frozen=True)
+class Sensor:
+    online: bool
+    reading: int
+    label: str
+
+
+@dataclass(frozen=True)
+class Solo:
+    value: int
+
+
+@dataclass(frozen=True)
+class Empty:
+    pass
+
+
+SENSOR_KINDS = (Kind.BOOL, Kind.INT, Kind.STR)
+MAPS = (operator.not_, lambda x: x * 3, str.upper)
+ZIPS = (operator.or_, operator.sub, operator.add)
+
+
+@pytest.fixture
+def sensor():
+    # The third field travels under a wire name other than its attribute.
+    schema = register("sensor", Sensor, SENSOR_KINDS, ("online", "reading", "tag"))
+    try:
+        yield schema
+    finally:
+        del REGISTRY["sensor"]
+
+
+def test_register_derives_the_schema(sensor):
+    assert REGISTRY["sensor"] is sensor
+    assert (sensor.type_id, sensor.ctor, sensor.arity) == ("sensor", Sensor, 3)
+    assert [(f.name, f.kind) for f in sensor.fields] == list(
+        zip(("online", "reading", "tag"), SENSOR_KINDS)
+    )
+    assert sensor.destruct(Sensor(True, 5, "x")) == (True, (5, ("x", ())))
+    assert cps_destructor("sensor")(Sensor(True, 5, "x"))(lambda *v: v) == (True, 5, "x")
+
+
+def test_pipelines_and_plug_instances(sensor):
+    a, b = Sensor(True, 5, "ab"), Sensor(False, 2, "cd")
+    d, d_cps = sensor.destruct, cps_destructor("sensor")
+
+    assert run_show(show_record("sensor")(a)) == "True 5 ab"
+    assert run_show_cps(show_record_cps("sensor")(a)) == "True 5 ab"
+
+    mapped = Sensor(False, 15, "AB")
+    assert run_map(reduce(mapa, MAPS, depure_map("sensor", d))(a)) == mapped
+    assert run_map_cps(reduce(mapa_cps, MAPS, depure_map_cps("sensor", d_cps))(a)) == mapped
+
+    zipped = Sensor(True, 3, "abcd")
+    assert run_zip(reduce(zipa, ZIPS, depure_zip("sensor", d, d))(a, b)) == zipped
+
+    instances = [
+        (plug.mapper("sensor", d), MAPS, (a,), mapped),
+        (plug.mapper_cps("sensor", d_cps), MAPS, (a,), mapped),
+        (plug.shower("sensor", d), [render_value] * 3, (a,), "True 5 ab"),
+        (plug.zipper("sensor", d, d), ZIPS, (a, b), zipped),
+    ]
+    for instance, pieces, inputs, expected in instances:
+        assert instance.steps_remaining == 3
+        assert plug.run_instance(reduce(plug.plug, pieces, instance), *inputs) == expected
+
+
+def test_codecs_round_trip(sensor):
+    r = Sensor(False, -(2**63), 'q"\\é')
+    text = to_named(r, sensor)
+    assert text == json.dumps(
+        {"online": False, "reading": -(2**63), "tag": 'q"\\é'},
+        separators=(",", ":"),
+        ensure_ascii=False,
+    )
+    assert from_named(text, sensor) == r
+
+    raw = 'q"\\é'.encode()
+    image = encode_binary(r, sensor)
+    assert image == struct.pack("<?qI", False, -(2**63), len(raw)) + raw
+    assert decode_binary(image, sensor) == r
+
+    shown = run_show(show_record("sensor")(r))
+    assert parse_record(lexemes(shown), sensor) == r
+
+
+def test_cli_accepts_the_new_type(sensor, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"tag":"x","reading":7,"online":true}\n'))
+    assert cli.main(["to-json", "--type", "sensor"]) == 0
+    assert capsys.readouterr() == ('{"online":true,"reading":7,"tag":"x"}\n', "")
+
+
+def test_one_and_zero_field_types():
+    try:
+        solo = register("solo", Solo, (Kind.INT,))
+        empty = register("empty", Empty, ())
+        # attrgetter of one name returns the bare value; the list still ends in ().
+        assert solo.destruct(Solo(3)) == (3, ())
+        assert [f.name for f in solo.fields] == ["value"]
+        assert run_show(show_record("solo")(Solo(3))) == "3"
+        assert run_show_cps(show_record_cps("solo")(Solo(3))) == "3"
+        assert from_named(to_named(Solo(3), solo), solo) == Solo(3)
+        assert to_named(Solo(3), solo) == '{"value":3}'
+        assert empty.destruct(Empty()) == ()
+        assert decode_binary(encode_binary(Empty(), empty), empty) == Empty()
+    finally:
+        REGISTRY.pop("solo", None)
+        REGISTRY.pop("empty", None)
+
+
+@pytest.mark.parametrize(
+    "kinds,wire_names",
+    [
+        ((Kind.BOOL, Kind.INT), ()),
+        (SENSOR_KINDS + (Kind.STR,), ()),
+        (SENSOR_KINDS, ("online", "reading")),
+        (SENSOR_KINDS, ("online", "reading", "tag", "extra")),
+    ],
+)
+def test_length_mismatch_raises(kinds, wire_names):
+    with pytest.raises(ValueError):
+        register("mismatch", Sensor, kinds, wire_names)
+    assert "mismatch" not in REGISTRY
