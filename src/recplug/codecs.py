@@ -17,6 +17,7 @@ escapes limited to backslash and double quote.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -182,7 +183,29 @@ def p_str() -> Parser:
     return run
 
 
-_LEXEME_PRIMITIVES = {Kind.BOOL: p_bool(), Kind.INT: p_int(), Kind.STR: p_str()}
+def p_real() -> Parser:
+    def run(src, pos):
+        if pos >= len(src):
+            return _fail(ParseError("expected a real, stream exhausted", pos), pos)
+        lex = src[pos]
+        try:
+            v = float(lex)
+        except ValueError:
+            v = math.nan
+        # Exactly what render_value prints for a finite float.
+        if not math.isfinite(v) or repr(v) != lex:
+            return _fail(ParseError(f"not a canonical finite real: {lex!r}", pos), pos)
+        return ParseOk(v, pos + 1)
+
+    return run
+
+
+_LEXEME_PRIMITIVES = {
+    Kind.BOOL: p_bool(),
+    Kind.INT: p_int(),
+    Kind.STR: p_str(),
+    Kind.REAL: p_real(),
+}
 
 
 def parse_record(stream: Sequence[str], schema: RecordSchema):

@@ -14,16 +14,6 @@ class ArityError(Error):
         super().__init__(message or f"{op}: {remaining} field(s) remaining")
 
 
-class ArityLimitError(Error):
-    """A pipeline was built past the arity its track supports."""
-
-    def __init__(self, op: str, arity: int, limit: int):
-        self.op = op
-        self.arity = arity
-        self.limit = limit
-        super().__init__(f"{op}: arity {arity} exceeds the limit of {limit}")
-
-
 class FieldTypeError(Error):
     """A value of the wrong kind was applied to a builder field."""
 

@@ -42,13 +42,11 @@ def mapper(type_id: str, destruct) -> PlugInstance:
 
 
 def mapper_cps(type_id: str, destruct_cps) -> PlugInstance:
-    arity = schema_for(type_id).arity
-    scott.check_cps_arity(arity, "mapper_cps")
     return PlugInstance(
         "mapper_cps",
         "unary field function",
         scott.depure_map_cps(type_id, destruct_cps),
-        arity,
+        schema_for(type_id).arity,
         scott.mapa_cps,
         scott.run_map_cps,
     )

@@ -163,8 +163,11 @@ def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
     The fields of ``cls`` in declaration order give the field list; field i
     has kind ``kinds[i]`` and is named ``wire_names[i]`` on the wire (the
     attribute name when ``wire_names`` is empty).  The destructor is derived
-    from the same fields, and the schema is stored in ``REGISTRY``.
+    from the same fields, and the schema is stored in ``REGISTRY``.  An id
+    that is already registered raises ValueError and changes nothing.
     """
+    if type_id in REGISTRY:
+        raise ValueError(f"record type {type_id!r} is already registered")
     names = tuple(f.name for f in fields(cls))
     wires = wire_names or names
     specs = tuple(FieldSpec(w, k) for _, w, k in zip(names, wires, kinds, strict=True))

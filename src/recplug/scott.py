@@ -12,15 +12,16 @@ then each record in order.  Right-nesting makes the first record's fields
 unreachable, so it is not supported; feeding such a state to a chopper
 raises ContinuationShapeError.
 
-Running a state recurses through one nested continuation per step, so CPS
-pipelines are limited to ``CPS_MAX_ARITY`` steps; building a longer one
-raises ArityLimitError instead of a RecursionError at run time.
+Each chopper returns a flat :class:`CpsChain` node rather than a nested
+continuation.  Running a state walks its chain once and applies the steps
+in one loop, so a CPS pipeline takes time linear in its arity and has no
+depth limit.  A zip state's inner level is a chain of the same kind.
 """
 
 from functools import reduce
 
-from .chop import Pipeline, hom_wrap
-from .errors import ArityLimitError, ContinuationShapeError
+from .chop import hom_wrap
+from .errors import ContinuationShapeError
 from .pipelines import DEVICE_MAPS, DEVICE_ZIPS, render_value
 from .records import Builder, apply_field, finish, list_fields, schema_for
 
@@ -41,61 +42,76 @@ destructure_device_cps = cps_destructor("device")
 destructure_benchmark_cps = cps_destructor("benchmark")
 
 
-#: The most steps a CPS pipeline may have.  A run nests about two Python
-#: frames per step, and the default recursion limit (1000) is reached near
-#: 495 steps; 400 leaves room for the caller's own stack.
-CPS_MAX_ARITY = 400
-
-
-def check_cps_arity(arity: int, op: str) -> None:
-    if arity > CPS_MAX_ARITY:
-        raise ArityLimitError(op, arity, CPS_MAX_ARITY)
-
-
-def _cps_step(chopper, pipeline, f, op):
-    steps = len(pipeline.steps) if isinstance(pipeline, Pipeline) else 0
-    check_cps_arity(steps + 1, op)
-    return hom_wrap(chopper, pipeline, f)
-
-
 def cons_cps(s, rest):
     """Prepend s to a CPS value: the continuation now receives s first."""
     return lambda k: rest(lambda *fields: k(s, *fields))
 
 
-def _split(args, op):
-    if len(args) < 2:
-        raise ContinuationShapeError(
-            2,
-            len(args),
-            f"{op}: state yields {len(args)} value(s), needs the accumulator"
-            " plus at least one field",
-        )
-    return args[0], args[1], args[2:]
+class CpsChain:
+    """``chop_cps`` steps as data: an inner state, the step that fuses its
+    accumulator with the next field, and the op named in shape errors.
+
+    Calling a chain with ``k`` walks back once to the first state that is
+    not a chain and calls that state with one ``feed``.  ``feed(acc, a1,
+    ..., aN)`` applies each step in order, ``acc = step(acc, a)``, then
+    calls ``k(acc, *rest)`` once; that equals one nested continuation per
+    step, run as one loop, so the Python stack stays flat at any arity.
+    Instances are never mutated; a chopper returns a new one.
+    """
+
+    __slots__ = ("state", "step", "op")
+
+    def __init__(self, state, step, op: str):
+        self.state = state
+        self.step = step
+        self.op = op
+
+    def __call__(self, k):
+        nodes, state = [], self
+        while isinstance(state, CpsChain):
+            nodes.append(state)
+            state = state.state
+        nodes.reverse()
+
+        def feed(*args):
+            acc, fields = (args[0], args[1:]) if args else (None, ())
+            for node, a in zip(nodes, fields):
+                acc = node.step(acc, a)
+            n = len(fields)
+            if n < len(nodes):
+                count = len(args) - n
+                raise ContinuationShapeError(
+                    2,
+                    count,
+                    f"{nodes[n].op}: state yields {count} value(s), needs the"
+                    " accumulator plus at least one field",
+                )
+            return k(acc, *fields[len(nodes) :])
+
+        return state(feed)
 
 
 def chop_cps(i, f):
     """Fuse the accumulator with the next field: k(acc, a, ...) becomes
     k(f(acc, a), ...)."""
-
-    def chopped(k):
-        def feed(*args):
-            s, a, rest = _split(args, "chop_cps")
-            return k(f(s, a), *rest)
-
-        return i(feed)
-
-    return chopped
+    return CpsChain(i, f, "chop_cps")
 
 
-def _check_nested(inner, op):
-    if not callable(inner):
-        raise ContinuationShapeError(
-            2,
-            1,
-            f"{op}: state is not left-nested (inner state is {inner!r},"
-            " not a function)",
-        )
+def _fuse(op, f):
+    """The outer step of a multi-record chopper: it rewrites the inner state
+    sab into a chain whose step passes the other records' fields to f."""
+
+    def step(sab, *others):
+        if not callable(sab):
+            raise ContinuationShapeError(
+                2,
+                1,
+                f"{op}: state is not left-nested (inner state is {sab!r},"
+                " not a function)",
+            )
+        return CpsChain(sab, lambda s, a: f(s, a, *others), op)
+
+    return step
 
 
 def chop2_cps(i, f):
@@ -105,62 +121,19 @@ def chop2_cps(i, f):
     record's fields, its first continuation argument is the inner state
     over (accumulator, first record's fields).
     """
-
-    def chopped(k):
-        def feed(*args):
-            sab, d, rest_b = _split(args, "chop2_cps")
-            _check_nested(sab, "chop2_cps")
-
-            def fused(tb):
-                def inner(*inner_args):
-                    s, a, rest_a = _split(inner_args, "chop2_cps")
-                    return tb(f(s, a, d), *rest_a)
-
-                return sab(inner)
-
-            return k(fused, *rest_b)
-
-        return i(feed)
-
-    return chopped
+    return CpsChain(i, _fuse("chop2_cps", f), "chop2_cps")
 
 
 def chop2_cps_via_chop(i, f):
     """chop2_cps expressed as a single chop_cps whose step rewrites the
     inner state; equal to chop2_cps on every left-nested state."""
-
-    def step(sab, d):
-        _check_nested(sab, "chop2_cps_via_chop")
-
-        def fused(tb):
-            def inner(*inner_args):
-                s, a, rest_a = _split(inner_args, "chop2_cps_via_chop")
-                return tb(f(s, a, d), *rest_a)
-
-            return sab(inner)
-
-        return fused
-
-    return chop_cps(i, step)
+    return chop_cps(i, _fuse("chop2_cps_via_chop", f))
 
 
 def chop3_cps(i, f):
     """Three-record analogue, defined through chop2_cps the same way
     chop2_cps reduces to chop_cps."""
-
-    def step(sab, d, g):
-        _check_nested(sab, "chop3_cps")
-
-        def fused(tb):
-            def inner(*inner_args):
-                s, a, rest_a = _split(inner_args, "chop3_cps")
-                return tb(f(s, a, d, g), *rest_a)
-
-            return sab(inner)
-
-        return fused
-
-    return chop2_cps(i, step)
+    return chop2_cps(i, _fuse("chop3_cps", f))
 
 
 # ---------------------------------------------------------------------------
@@ -192,40 +165,29 @@ def depure_zip3_cps(type_id, destruct_a, destruct_b, destruct_c):
 
 
 # ---------------------------------------------------------------------------
-# The pipeline family: the same hom_wrap wrappers as the pair track, within
-# the CPS arity limit.
-
-
-def _show_chopper_cps(state, render):
-    return chop_cps(state, lambda s, a: [render(a), *s])
+# The pipeline family: the same hom_wrap wrappers as the pair track.  Each
+# step function is made once, when the pipeline is wrapped, not on every
+# run: the nodes of a running chain stay alive until it ends, and a closure
+# per node as well (a function and its cell) would give the garbage
+# collector three more live objects per step to scan.
 
 
 def showa_cps(pipeline, render):
-    return _cps_step(_show_chopper_cps, pipeline, render, "showa_cps")
-
-
-def _map_chopper_cps(state, f):
-    return chop_cps(state, lambda s, a: apply_field(s, f(a)))
+    return hom_wrap(chop_cps, pipeline, lambda s, a: [render(a), *s])
 
 
 def mapa_cps(pipeline, f):
-    return _cps_step(_map_chopper_cps, pipeline, f, "mapa_cps")
-
-
-def _zip_chopper_cps(state, f):
-    return chop2_cps(state, lambda s, a, b: apply_field(s, f(a, b)))
+    return hom_wrap(chop_cps, pipeline, lambda s, a: apply_field(s, f(a)))
 
 
 def zipa_cps(pipeline, f):
-    return _cps_step(_zip_chopper_cps, pipeline, f, "zipa_cps")
-
-
-def _zip3_chopper_cps(state, f):
-    return chop3_cps(state, lambda s, a, b, c: apply_field(s, f(a, b, c)))
+    return hom_wrap(chop2_cps, pipeline, lambda s, a, b: apply_field(s, f(a, b)))
 
 
 def zipa3_cps(pipeline, f):
-    return _cps_step(_zip3_chopper_cps, pipeline, f, "zipa3_cps")
+    return hom_wrap(
+        chop3_cps, pipeline, lambda s, a, b, c: apply_field(s, f(a, b, c))
+    )
 
 
 def _single(*args):

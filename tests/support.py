@@ -4,6 +4,7 @@ import dataclasses
 import operator
 from contextlib import contextmanager
 
+from recplug.errors import ContinuationShapeError
 from recplug.records import REGISTRY, Benchmark, Device, Kind, register
 from recplug.scott import cps_destructor
 
@@ -76,3 +77,92 @@ def random_wide(rng, schema):
         Kind.STR: lambda: "".join(rng.choices("abcxyz\"\\é中", k=rng.randint(0, 6))),
     }
     return schema.ctor(*(gen[f.kind]() for f in schema.fields))
+
+
+# ---------------------------------------------------------------------------
+# Reference CPS choppers: one nested continuation per step, the form the flat
+# scott.CpsChain replaced.  Each feed repacks and slices the remaining fields.
+
+
+def _ref_split(args, op):
+    if len(args) < 2:
+        raise ContinuationShapeError(
+            2,
+            len(args),
+            f"{op}: state yields {len(args)} value(s), needs the accumulator"
+            " plus at least one field",
+        )
+    return args[0], args[1], args[2:]
+
+
+def ref_chop_cps(i, f):
+    def chopped(k):
+        def feed(*args):
+            s, a, rest = _ref_split(args, "chop_cps")
+            return k(f(s, a), *rest)
+
+        return i(feed)
+
+    return chopped
+
+
+def _ref_check_nested(inner, op):
+    if not callable(inner):
+        raise ContinuationShapeError(
+            2,
+            1,
+            f"{op}: state is not left-nested (inner state is {inner!r},"
+            " not a function)",
+        )
+
+
+def ref_chop2_cps(i, f):
+    def chopped(k):
+        def feed(*args):
+            sab, d, rest_b = _ref_split(args, "chop2_cps")
+            _ref_check_nested(sab, "chop2_cps")
+
+            def fused(tb):
+                def inner(*inner_args):
+                    s, a, rest_a = _ref_split(inner_args, "chop2_cps")
+                    return tb(f(s, a, d), *rest_a)
+
+                return sab(inner)
+
+            return k(fused, *rest_b)
+
+        return i(feed)
+
+    return chopped
+
+
+def ref_chop2_cps_via_chop(i, f):
+    def step(sab, d):
+        _ref_check_nested(sab, "chop2_cps_via_chop")
+
+        def fused(tb):
+            def inner(*inner_args):
+                s, a, rest_a = _ref_split(inner_args, "chop2_cps_via_chop")
+                return tb(f(s, a, d), *rest_a)
+
+            return sab(inner)
+
+        return fused
+
+    return ref_chop_cps(i, step)
+
+
+def ref_chop3_cps(i, f):
+    def step(sab, d, g):
+        _ref_check_nested(sab, "chop3_cps")
+
+        def fused(tb):
+            def inner(*inner_args):
+                s, a, rest_a = _ref_split(inner_args, "chop3_cps")
+                return tb(f(s, a, d, g), *rest_a)
+
+            return sab(inner)
+
+        return fused
+
+    return ref_chop2_cps(i, step)

@@ -110,8 +110,7 @@ SAMPLES = {
 def typed_io(schema, command):
     """(stdin line, expected stdout line) for a typed command on a sample
     record of schema; stdout is None where a field's kind has no form in
-    the command's wire format (reals have neither a lexeme parser nor a
-    binary form)."""
+    the command's wire format (reals have no binary form)."""
     samples = [SAMPLES[f.kind] for f in schema.fields]
     pairs = [(f.name, s[0]) for f, s in zip(schema.fields, samples)]
     canon = json.dumps(dict(pairs), separators=(",", ":"))
@@ -121,7 +120,7 @@ def typed_io(schema, command):
     image = b"".join(s[2] or b"" for s in samples).hex()
     return {
         "show": (shuffled, lexeme),
-        "parse": (lexeme, None if has_real else canon),
+        "parse": (lexeme, canon),
         "encode-bin": (shuffled, None if has_real else image),
         "decode-bin": (image, None if has_real else canon),
         "to-json": (shuffled, canon),

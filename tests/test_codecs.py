@@ -271,6 +271,28 @@ def test_named_round_trip_reals():
         assert from_named(to_named(b, AVGS), AVGS) == b
 
 
+finite_reals = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(finite_reals, finite_reals)
+def test_lexeme_round_trip_reals(x, y):
+    b = Benchmark(x, "a", y, "b")
+    shown = run_show(show_record("benchmark_avg")(b))
+    assert shown == f"{x!r} a {y!r} b"
+    back = parse_record(lexemes(shown), AVGS)
+    assert back == b
+    assert [repr(v) for v in (back.first_app, back.second_app)] == [repr(x), repr(y)]
+
+
+@pytest.mark.parametrize(
+    "lexeme", ["inf", "-inf", "nan", "1e400", "2", "2.50", "+2.5", "1e5", "1_0.5", "\t2.5", "", "x"]
+)
+def test_lexeme_rejects_non_canonical_reals(lexeme):
+    with pytest.raises(ParseError) as err:
+        parse_record(lexemes(f"2.5 a {lexeme} b"), AVGS)
+    assert err.value.position == 2
+
+
 def test_named_key_permutation_random():
     # device pairs are comma-free, so the object can be resplit and shuffled
     rng = random.Random(43)

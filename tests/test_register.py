@@ -165,3 +165,13 @@ def test_length_mismatch_raises(kinds, wire_names):
     with pytest.raises(ValueError):
         register("mismatch", Sensor, kinds, wire_names)
     assert "mismatch" not in REGISTRY
+
+
+def test_duplicate_id_raises(sensor):
+    before = dict(REGISTRY)
+    with pytest.raises(ValueError, match="'sensor' is already registered"):
+        register("sensor", Solo, (Kind.INT,))
+    with pytest.raises(ValueError, match="'device' is already registered"):
+        register("device", Sensor, SENSOR_KINDS)
+    assert REGISTRY == before
+    assert REGISTRY["sensor"] is sensor

@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from recplug import plug
-from recplug.errors import ArityLimitError, ContinuationShapeError, UnknownTypeError
+from recplug.errors import ContinuationShapeError, UnknownTypeError
 from recplug.pipelines import (
     depure_zip,
     render_value,
@@ -23,14 +23,12 @@ from recplug.records import (
     Benchmark,
     Builder,
     Device,
-    Kind,
     apply_field,
     destructure_device,
     finish,
     schema_for,
 )
 from recplug.scott import (
-    CPS_MAX_ARITY,
     chop2_cps,
     chop2_cps_via_chop,
     chop3_cps,
@@ -334,34 +332,12 @@ def test_track_equivalence_on_random_benchmarks():
         )
 
 
-def test_cps_pipelines_stop_at_the_arity_limit():
-    with registered_wide(1000) as schema:
+@pytest.mark.parametrize("arity", [1000, 5000])
+def test_cps_pipelines_at_depth(arity):
+    # Far past the Python recursion limit: every CPS run is one flat loop.
+    with registered_wide(arity) as schema:
         tid, d = schema.type_id, destructure_wide_cps
-        chains = {
-            "showa_cps": (depure_show_cps(d), showa_cps, render_value),
-            "mapa_cps": (depure_map_cps(tid, d), mapa_cps, WIDE_MAPS[Kind.BOOL]),
-            "zipa_cps": (depure_zip_cps(tid, d, d), zipa_cps, WIDE_ZIPS[Kind.BOOL]),
-            "zipa3_cps": (depure_zip3_cps(tid, d, d, d), zipa3_cps, lambda x, y, z: y),
-        }
-        for op, (p, wrap, piece) in chains.items():
-            for _ in range(CPS_MAX_ARITY):
-                p = wrap(p, piece)
-            with pytest.raises(ArityLimitError) as err:
-                wrap(p, piece)
-            assert (err.value.op, err.value.arity, err.value.limit) == (
-                op,
-                CPS_MAX_ARITY + 1,
-                CPS_MAX_ARITY,
-            )
-        with pytest.raises(ArityLimitError) as err:
-            plug.mapper_cps(tid, d)
-        assert (err.value.op, err.value.arity) == ("mapper_cps", 1000)
-
-
-def test_cps_pipelines_run_at_the_arity_limit():
-    with registered_wide(CPS_MAX_ARITY) as schema:
-        tid, d = schema.type_id, destructure_wide_cps
-        rng = random.Random(0)
+        rng = random.Random(arity)
         a, b = random_wide(rng, schema), random_wide(rng, schema)
         va, vb = dataclasses.astuple(a), dataclasses.astuple(b)
         kinds = [f.kind for f in schema.fields]
@@ -372,7 +348,7 @@ def test_cps_pipelines_run_at_the_arity_limit():
             shown = showa_cps(shown, render_value)
             mapped = mapa_cps(mapped, WIDE_MAPS[k])
             zipped = zipa_cps(zipped, WIDE_ZIPS[k])
-            zipped3 = zipa3_cps(zipped3, lambda x, y, z: y)
+            zipped3 = zipa3_cps(zipped3, lambda x, y, z, f=WIDE_ZIPS[k]: f(f(x, y), z))
             instance = plug.plug(instance, WIDE_MAPS[k])
 
         assert run_show_cps(shown(a)) == " ".join(render_value(v) for v in va)
@@ -381,4 +357,7 @@ def test_cps_pipelines_run_at_the_arity_limit():
         assert dataclasses.astuple(plug.run_instance(instance, a)) == expected
         expected = tuple(WIDE_ZIPS[k](x, y) for k, x, y in zip(kinds, va, vb))
         assert dataclasses.astuple(run_zip_cps(zipped(a, b))) == expected
-        assert run_zip3_cps(zipped3(b, a, b)) == a
+        expected = tuple(
+            WIDE_ZIPS[k](WIDE_ZIPS[k](x, y), z) for k, x, y, z in zip(kinds, vb, va, vb)
+        )
+        assert dataclasses.astuple(run_zip3_cps(zipped3(b, a, b))) == expected
