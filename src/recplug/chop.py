@@ -59,15 +59,30 @@ class Pipeline:
 
     ``Pipeline(seed, steps)(*records)`` equals the nested closures
     ``chopper_n(... chopper_1(seed(*records), step_1) ..., step_n)``, run
-    as one loop, so the Python stack stays flat at any arity.  Instances
-    are never mutated; wrapping one returns a new one.
+    as one loop over the flat ``steps`` tuple, so the Python stack stays
+    flat at any arity.  Wrapping a pipeline is O(1): the new one keeps the
+    pipeline it wraps and its one new step, and ``steps`` flattens that
+    chain once, the first time it is read, and caches the tuple.  Nothing
+    else is ever written; wrapping a pipeline returns a new one.
     """
 
-    __slots__ = ("seed", "steps")
+    __slots__ = ("seed", "_steps", "_prior", "_last")
 
     def __init__(self, seed: Callable, steps: tuple):
         self.seed = seed
-        self.steps = steps
+        self._steps = tuple(steps)
+        self._prior = self._last = None
+
+    @property
+    def steps(self) -> tuple:
+        if self._steps is None:
+            newest, p = [], self
+            while p._steps is None:
+                newest.append(p._last)
+                p = p._prior
+            newest.reverse()
+            self._steps = p._steps + tuple(newest)
+        return self._steps
 
     def __call__(self, *records):
         state = self.seed(*records)
@@ -77,9 +92,12 @@ class Pipeline:
 
 
 def _extend(pipeline, chopper, step) -> Pipeline:
-    if isinstance(pipeline, Pipeline):
-        return Pipeline(pipeline.seed, pipeline.steps + ((chopper, step),))
-    return Pipeline(pipeline, ((chopper, step),))
+    if not isinstance(pipeline, Pipeline):
+        return Pipeline(pipeline, ((chopper, step),))
+    wrapped = object.__new__(Pipeline)
+    wrapped.seed, wrapped._steps = pipeline.seed, None
+    wrapped._prior, wrapped._last = pipeline, (chopper, step)
+    return wrapped
 
 
 def _unary(state, chopper):

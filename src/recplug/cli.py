@@ -6,6 +6,7 @@ error (one-line diagnostic on stderr), 2 usage error.
 """
 
 import argparse
+import re
 import sys
 
 from . import codecs, pipelines, records, scott
@@ -13,6 +14,7 @@ from .errors import Error
 from .records import EXAMPLE_DEVICE, Kind, RecordSchema, list_fields, schema_for
 
 _AVGS_SCHEMA = schema_for("benchmark_avg")
+_CONTROL = re.compile(r"[\x00-\x1f]")
 
 
 def _read_line(stdin) -> str:
@@ -23,11 +25,16 @@ def _read_record(stdin, schema: RecordSchema):
     return codecs.from_named(_read_line(stdin), schema)
 
 
-def _space_free(record, schema: RecordSchema) -> None:
-    # Lexemes are space-separated, so shown strings must not contain spaces.
+def _showable(record, schema: RecordSchema) -> None:
+    # Lexemes are space-separated and lines end at a newline, so shown
+    # strings must contain no space and no control character.
     for spec, value in zip(schema.fields, list_fields(schema.destruct(record))):
-        if spec.kind is Kind.STR and " " in value:
+        if spec.kind is not Kind.STR:
+            continue
+        if " " in value:
             raise Error(f"field {spec.name!r} contains a space, not showable")
+        if _CONTROL.search(value):
+            raise Error(f"field {spec.name!r} contains a control character, not showable")
 
 
 def _by_encoding(args, by_pairs, by_cps):
@@ -40,7 +47,7 @@ def _by_encoding(args, by_pairs, by_cps):
 def _show(args, stdin, stdout) -> None:
     schema = schema_for(args.type)
     record = _read_record(stdin, schema)
-    _space_free(record, schema)
+    _showable(record, schema)
     by_pairs = pipelines.run_show(pipelines.show_record(args.type)(record))
     by_cps = scott.run_show_cps(scott.show_record_cps(args.type)(record))
     print(_by_encoding(args, by_pairs, by_cps), file=stdout)

@@ -11,8 +11,10 @@ Wire formats, bit-exact:
   int    8 bytes, little-endian two's complement
   str    4-byte little-endian length, then UTF-8 bytes
 Floats have no binary form (averages are display-only).  The JSON subset
-is a flat object, keys in schema order on output, no whitespace, string
-escapes limited to backslash and double quote.
+is a flat object, keys in schema order on output, no whitespace, strings
+escaped exactly as ``json.dumps(..., ensure_ascii=False)`` escapes them:
+``\\"`` and ``\\\\``, ``\\b \\f \\n \\r \\t``, and ``\\u00xx`` (lowercase hex) for
+the other characters below U+0020.  Input accepts exactly those escapes.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Any, Callable, Sequence, Union
 
 from .errors import (
@@ -48,6 +51,7 @@ from .records import (
     check_int_range,
     finish,
     kind_of,
+    list_fields,
 )
 
 
@@ -248,7 +252,7 @@ def encode_binary(record, schema: RecordSchema) -> bytes:
     encoders = _per_field(_BINARY_ENCODERS, schema, "binary")
     emits = map(_bin_chunk, schema.fields, encoders)
     chunks, _ = show_pipeline(schema.destruct, emits)(record)
-    return b"".join(reversed(chunks))
+    return b"".join(reversed(list_fields(chunks)))
 
 
 def _b_bool(data, pos):
@@ -301,55 +305,55 @@ def decode_binary(image: bytes, schema: RecordSchema):
 # Named-field track (flat JSON subset)
 
 
-def _json_escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def _json_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     if isinstance(v, str):
-        return f'"{_json_escape(v)}"'
+        return encode_basestring(v)
     if v != v or v in (float("inf"), float("-inf")):
         raise CodecError("non-finite reals have no JSON form")
     return repr(v)  # shortest round-trip decimal, always with '.' or exponent
 
 
 def _named_pair(spec: FieldSpec):
-    key = f'"{_json_escape(spec.name)}":'
+    key = encode_basestring(spec.name) + ":"
     return lambda v: key + _json_value(_checked(spec, v))
 
 
 def to_named(record, schema: RecordSchema) -> str:
     """Emit a flat object, keys in schema order, no whitespace."""
     pairs, _ = show_pipeline(schema.destruct, map(_named_pair, schema.fields))(record)
-    return "{" + ",".join(reversed(pairs)) + "}"
+    return "{" + ",".join(reversed(list_fields(pairs))) + "}"
 
 
 _NUM_RE = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+_PLAIN_RUN = re.compile(r'[^"\\]*')
+#: Each escape the encoder writes, without its backslash, and what it stands
+#: for: the inverse of encode_basestring on '"', '\\' and U+0000-U+001F.
+_JSON_UNESCAPES = {
+    encode_basestring(c)[2:-1]: c for c in map(chr, (*range(0x20), 0x22, 0x5C))
+}
 
 
 def _scan_string(text: str, i: int) -> tuple[str, int]:
     i += 1  # opening quote
     out = []
-    while i < len(text):
-        c = text[i]
-        if c == '"':
-            return "".join(out), i + 1
-        if c == "\\":
-            if i + 1 >= len(text):
-                raise MalformedJsonError(f"unterminated escape at offset {i}")
-            e = text[i + 1]
-            if e not in ('"', "\\"):
-                raise MalformedJsonError(f"unsupported escape \\{e} at offset {i}")
-            out.append(e)
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    raise MalformedJsonError("unterminated string")
+    while True:
+        j = _PLAIN_RUN.match(text, i).end()
+        out.append(text[i:j])
+        if j == len(text):
+            raise MalformedJsonError("unterminated string")
+        if text[j] == '"':
+            return "".join(out), j + 1
+        if j + 1 == len(text):
+            raise MalformedJsonError(f"unterminated escape at offset {j}")
+        e = text[j + 1 : j + 6] if text[j + 1] == "u" else text[j + 1]
+        if e not in _JSON_UNESCAPES:
+            raise MalformedJsonError(f"unsupported escape \\{e} at offset {j}")
+        out.append(_JSON_UNESCAPES[e])
+        i = j + 1 + len(e)
 
 
 def _scan_value(text: str, i: int):

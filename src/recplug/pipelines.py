@@ -21,6 +21,7 @@ from .records import (
     destructure_device,
     field_count,
     finish,
+    list_fields,
     schema_for,
 )
 
@@ -42,30 +43,31 @@ def render_value(v: Value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Pretty-printing: accumulator is a stack of lexemes, most recent first.
+# Pretty-printing: accumulator is a stack of lexemes, most recent first,
+# as a cons chain: () then (lexeme, stack) per step, so a step copies nothing.
 
 
 def depure_show(destruct):
-    return lambda r: ([], destruct(r))
+    return lambda r: ((), destruct(r))
 
 
-def _show_chopper(state, render):
-    return chop(state, lambda s, a: [render(a), *s])
+def _show_step(render):
+    return lambda s, a: (render(a), s)
 
 
 def showa(pipeline, render):
-    return hom_wrap(_show_chopper, pipeline, render)
+    return hom_wrap(chop, pipeline, _show_step(render))
 
 
 def show_pipeline(destruct, renders):
     """``depure_show(destruct)`` then ``showa`` with each of ``renders`` in
-    turn, built as one Pipeline in time linear in the number of renders."""
-    return Pipeline(depure_show(destruct), tuple((_show_chopper, r) for r in renders))
+    turn, built as one Pipeline with one tuple of steps."""
+    return Pipeline(depure_show(destruct), tuple((chop, _show_step(r)) for r in renders))
 
 
 def run_show(state) -> str:
     stack, _ = state
-    return " ".join(reversed(stack))
+    return " ".join(reversed(list_fields(stack)))
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +79,8 @@ def depure_map(type_id, destruct):
     return lambda r: (Builder(schema), destruct(r))
 
 
-def _map_chopper(state, f):
-    return chop(state, lambda s, a: apply_field(s, f(a)))
-
-
 def mapa(pipeline, f):
-    return hom_wrap(_map_chopper, pipeline, f)
+    return hom_wrap(chop, pipeline, lambda s, a: apply_field(s, f(a)))
 
 
 def run_map(state):
@@ -103,12 +101,8 @@ def depure_zip(type_id, destruct_a, destruct_b):
     return lambda ra, rb: (Builder(schema), destruct_a(ra), destruct_b(rb))
 
 
-def _zip_chopper(state, f):
-    return chop2(state, lambda s, a, c: apply_field(s, f(a, c)))
-
-
 def zipa(pipeline, f):
-    return hom_wrap2(_zip_chopper, pipeline, f)
+    return hom_wrap2(chop2, pipeline, lambda s, a, c: apply_field(s, f(a, c)))
 
 
 def run_zip(state):

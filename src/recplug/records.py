@@ -204,12 +204,52 @@ def schema_for(type_id: str) -> RecordSchema:
 # Staged builders
 
 
-@dataclass(frozen=True)
 class Builder:
-    """A record constructor applied one field at a time."""
+    """A record constructor applied one field at a time.
 
-    schema: RecordSchema
-    supplied: tuple = ()
+    ``Builder(schema, supplied)`` has the values ``supplied`` (a tuple in
+    field order) already applied.  They are kept as a persistent cons chain,
+    newest first, with a count, so ``apply_field`` adds one cell and copies
+    nothing, and ``finish`` unrolls the chain once.  Instances are never
+    mutated; two builders are equal when their schemas and supplied values
+    are.
+    """
+
+    __slots__ = ("schema", "_count", "_cells")
+
+    def __init__(self, schema: RecordSchema, supplied: tuple = ()):
+        cells: FieldList = ()
+        for v in supplied:
+            cells = (v, cells)
+        self.schema = schema
+        self._count = len(supplied)
+        self._cells = cells
+
+    @property
+    def supplied(self) -> tuple:
+        """The values applied so far, in field order."""
+        return tuple(_unwound(self._cells))
+
+    def __eq__(self, other):
+        if not isinstance(other, Builder):
+            return NotImplemented
+        return self.schema == other.schema and self.supplied == other.supplied
+
+    def __hash__(self):
+        return hash((self.schema, self.supplied))
+
+    def __repr__(self):
+        return f"Builder(schema={self.schema!r}, supplied={self.supplied!r})"
+
+
+def _unwound(cells: FieldList) -> list:
+    """The values of a newest-first cons chain, oldest first."""
+    out = []
+    while cells:
+        v, cells = cells
+        out.append(v)
+    out.reverse()
+    return out
 
 
 def builder_new(type_id: str) -> Builder:
@@ -217,32 +257,34 @@ def builder_new(type_id: str) -> Builder:
 
 
 def apply_field(b: Builder, v: Value) -> Builder:
-    done = len(b.supplied)
-    if done >= b.schema.arity:
+    schema, done = b.schema, b._count
+    if done >= len(schema.fields):
         raise ArityError(
             "apply_field",
             0,
-            f"apply_field: {b.schema.type_id} builder already has all"
-            f" {b.schema.arity} fields",
+            f"apply_field: {schema.type_id} builder already has all"
+            f" {schema.arity} fields",
         )
-    want = b.schema.fields[done]
+    want = schema.fields[done]
     got = kind_of(v)
     if got is not want.kind:
         raise FieldTypeError(
-            f"field {want.name!r} of {b.schema.type_id} expects"
+            f"field {want.name!r} of {schema.type_id} expects"
             f" {want.kind.value}, got {got.value} ({v!r})"
         )
     if got is Kind.INT:
         check_int_range(v)
-    return Builder(b.schema, b.supplied + (v,))
+    grown = object.__new__(Builder)
+    grown.schema, grown._count, grown._cells = schema, done + 1, (v, b._cells)
+    return grown
 
 
 def finish(b: Builder) -> Any:
-    missing = b.schema.arity - len(b.supplied)
+    missing = b.schema.arity - b._count
     if missing:
         raise ArityError(
             "finish",
             missing,
             f"finish: {b.schema.type_id} builder still needs {missing} field(s)",
         )
-    return b.schema.ctor(*b.supplied)
+    return b.schema.ctor(*_unwound(b._cells))

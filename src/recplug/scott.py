@@ -141,7 +141,7 @@ def chop3_cps(i, f):
 
 
 def depure_show_cps(destruct_cps):
-    return lambda r: cons_cps([], destruct_cps(r))
+    return lambda r: cons_cps((), destruct_cps(r))
 
 
 def depure_map_cps(type_id, destruct_cps):
@@ -173,7 +173,7 @@ def depure_zip3_cps(type_id, destruct_a, destruct_b, destruct_c):
 
 
 def showa_cps(pipeline, render):
-    return hom_wrap(chop_cps, pipeline, lambda s, a: [render(a), *s])
+    return hom_wrap(chop_cps, pipeline, lambda s, a: (render(a), s))
 
 
 def mapa_cps(pipeline, f):
@@ -202,7 +202,7 @@ def _single(*args):
 
 
 def run_show_cps(state) -> str:
-    return " ".join(reversed(state(_single)))
+    return " ".join(reversed(list_fields(state(_single))))
 
 
 def run_map_cps(state):

@@ -4,8 +4,13 @@ import dataclasses
 import operator
 from contextlib import contextmanager
 
-from recplug.errors import ContinuationShapeError
-from recplug.records import REGISTRY, Benchmark, Device, Kind, register
+from recplug.errors import (
+    ArityError,
+    ContinuationShapeError,
+    FieldTypeError,
+    MalformedJsonError,
+)
+from recplug.records import REGISTRY, Benchmark, Device, Kind, check_int_range, kind_of, register
 from recplug.scott import cps_destructor
 
 # Headroom so the demo arithmetic (+100, +200, pairwise and three-way sums)
@@ -166,3 +171,72 @@ def ref_chop3_cps(i, f):
         return fused
 
     return ref_chop2_cps(i, step)
+
+
+# ---------------------------------------------------------------------------
+# Reference builder: the supplied values as a tuple in field order, copied on
+# every step, the form records.Builder's cons chain replaced.
+
+
+def ref_apply_field(schema, supplied: tuple, v) -> tuple:
+    done = len(supplied)
+    if done >= schema.arity:
+        raise ArityError(
+            "apply_field",
+            0,
+            f"apply_field: {schema.type_id} builder already has all"
+            f" {schema.arity} fields",
+        )
+    want = schema.fields[done]
+    got = kind_of(v)
+    if got is not want.kind:
+        raise FieldTypeError(
+            f"field {want.name!r} of {schema.type_id} expects"
+            f" {want.kind.value}, got {got.value} ({v!r})"
+        )
+    if got is Kind.INT:
+        check_int_range(v)
+    return supplied + (v,)
+
+
+def ref_finish(schema, supplied: tuple):
+    missing = schema.arity - len(supplied)
+    if missing:
+        raise ArityError(
+            "finish",
+            missing,
+            f"finish: {schema.type_id} builder still needs {missing} field(s)",
+        )
+    return schema.ctor(*supplied)
+
+
+# ---------------------------------------------------------------------------
+# Reference JSON string scanner: one character per step, the form the
+# run-at-a-time codecs._scan_string replaced, with the escapes the encoder
+# writes spelled out by hand.
+
+REF_ESCAPES = {'"': '"', "\\": "\\", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
+REF_ESCAPES.update(
+    (f"u{c:04x}", chr(c)) for c in range(0x20) if chr(c) not in "\b\f\n\r\t"
+)
+
+
+def ref_scan_string(text: str, i: int) -> tuple:
+    i += 1  # opening quote
+    out = []
+    while i < len(text):
+        c = text[i]
+        if c == '"':
+            return "".join(out), i + 1
+        if c == "\\":
+            if i + 1 >= len(text):
+                raise MalformedJsonError(f"unterminated escape at offset {i}")
+            e = text[i + 1 : i + 6] if text[i + 1] == "u" else text[i + 1]
+            if e not in REF_ESCAPES:
+                raise MalformedJsonError(f"unsupported escape \\{e} at offset {i}")
+            out.append(REF_ESCAPES[e])
+            i += 1 + len(e)
+        else:
+            out.append(c)
+            i += 1
+    raise MalformedJsonError("unterminated string")

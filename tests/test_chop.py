@@ -210,3 +210,18 @@ def test_operators_are_pure():
     assert chop2(state, step) == chop2(state, step)
     wrapped = hom_wrap(chop, lambda r: ([], field_list(r)), prepend)
     assert wrapped(9) == wrapped(9)
+
+
+def test_wraps_of_one_pipeline_share_it():
+    """Wrapping leaves the wrapped pipeline as it was: branches wrapped on
+    one prefix run independently and in any order, and steps is flattened
+    once per pipeline."""
+    base = hom_wrap(chop, lambda r: ([], field_list(*r)), prepend)
+    left = hom_wrap(chop, base, lambda s, a: s + [a * 10])
+    right = hom_wrap0(lambda st: (st[0], st[1][1]), base)
+    record = (1, 2, 3)
+    assert left(record) == ([1, 20], (3, ()))
+    assert right(record) == ([1], (3, ()))
+    assert base(record) == ([1], (2, (3, ())))
+    assert left.steps[:1] == right.steps[:1] == base.steps
+    assert left.steps is left.steps

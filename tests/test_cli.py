@@ -3,12 +3,17 @@ import json
 import struct
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recplug.cli import main
-from recplug.records import REGISTRY, Kind
+from recplug.codecs import encode_binary, from_named
+from recplug.records import BENCHMARK_SCHEMA, REGISTRY, Benchmark, Kind
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -87,6 +92,14 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
             ["show", "--type", "benchmark"],
             '{"firstApp":1,"firstLog":"a b","secondApp":2,"secondLog":"c"}\n',
         ),
+        (
+            ["show", "--type", "benchmark"],
+            '{"firstApp":1,"firstLog":"a\tb","secondApp":2,"secondLog":"c"}\n',
+        ),
+        (
+            ["show", "--type", "benchmark", "--encoding", "scott"],
+            '{"firstApp":1,"firstLog":"a","secondApp":2,"secondLog":"b\\n"}\n',
+        ),
     ],
 )
 def test_domain_errors_exit_1(monkeypatch, capsys, argv, stdin_text):
@@ -159,3 +172,24 @@ def test_shell_round_trip(fixture, type_name):
         check=True,
     )
     assert decoded.stdout == payload
+
+
+def call_main(argv, stdin_text):
+    """main(argv) in process without pytest fixtures, for hypothesis."""
+    out, err = io.StringIO(), io.StringIO()
+    with patch("sys.stdin", io.StringIO(stdin_text)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(st.text(st.one_of(st.characters(max_codepoint=0x1F), st.characters()), max_size=16))
+def test_decode_bin_then_from_json_keeps_one_line(log):
+    """A string field holding control characters leaves decode-bin as one
+    line, and from-json reads that line back to the same record."""
+    record = Benchmark(1, log, -2, log[::-1])
+    image = encode_binary(record, BENCHMARK_SCHEMA).hex()
+    code, line, err = call_main(["decode-bin", "--type", "benchmark"], image + "\n")
+    assert (code, err, line.count("\n")) == (0, "", 1)
+    code, out, err = call_main(["from-json", "--type", "benchmark"], line)
+    assert (code, out, err) == (0, line, "")
+    assert from_named(out.rstrip("\n"), BENCHMARK_SCHEMA) == record

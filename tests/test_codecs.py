@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from recplug.codecs import (
     _BINARY_PRIMITIVES,
     _LEXEME_PRIMITIVES,
+    _scan_string,
     ApChain,
     ParseErr,
     ParseOk,
@@ -50,7 +52,7 @@ from recplug.records import (
     schema_for,
 )
 
-from support import random_device
+from support import random_device, ref_scan_string
 
 DEVICE = schema_for("device")
 BENCHMARK = schema_for("benchmark")
@@ -67,6 +69,8 @@ int64 = st.integers(min_value=I64_MIN, max_value=I64_MAX)
 devices = st.builds(Device, st.booleans(), int64, int64)
 wire_text = st.text(max_size=32).filter(lambda s: len(s.encode("utf-8")) <= 64)
 benchmarks = st.builds(Benchmark, int64, wire_text, int64, wire_text)
+# Text rich in the characters below U+0020 that JSON strings must escape.
+control_text = st.text(st.one_of(st.characters(max_codepoint=0x1F), st.characters()), max_size=16)
 
 
 def test_p_pure():
@@ -242,7 +246,7 @@ def test_from_named_rejections():
     with pytest.raises(MalformedJsonError):
         from_named('{"block":false,"major":019,"minor":1}', DEVICE)
     with pytest.raises(MalformedJsonError):
-        from_named('{"log":"\\n"}', schema_for("benchmark"))
+        from_named('{"log":"\\q"}', schema_for("benchmark"))
 
 
 def test_named_escapes():
@@ -374,3 +378,48 @@ def test_flat_lexeme_chain_equals_nested(kinds, stream, start):
 def test_flat_binary_chain_equals_nested(kinds, image, start):
     flat, nested = chains(_BINARY_PRIMITIVES, kinds)
     same_result(flat(image, start), nested(image, start))
+
+
+@given(int64, control_text, int64, control_text)
+def test_to_named_matches_json_dumps(a, log_a, b, log_b):
+    record = Benchmark(a, log_a, b, log_b)
+    values = dict(zip(("firstApp", "firstLog", "secondApp", "secondLog"), (a, log_a, b, log_b)))
+    text = to_named(record, BENCHMARK)
+    assert text == json.dumps(values, separators=(",", ":"), ensure_ascii=False)
+    assert from_named(text, BENCHMARK) == record
+
+
+def test_from_named_accepts_exactly_the_written_escapes():
+    for c in map(chr, range(0x20)):
+        text = to_named(Benchmark(1, c, 2, ""), BENCHMARK)
+        assert not any(ch < " " for ch in text)
+        assert from_named(text, BENCHMARK).first_log == c
+    for escape in ("\\u0008", "\\u000a", "\\u001F", "\\u0041", "\\/", "\\u00"):
+        with pytest.raises(MalformedJsonError, match="unsupported escape"):
+            from_named(f'{{"firstApp":1,"firstLog":"{escape}","secondApp":2,"secondLog":""}}', BENCHMARK)
+
+
+# Pieces of a string body: escapes the encoder writes and near misses, bare
+# quotes and backslashes, control characters and any other character.
+_SCAN_PIECES = st.one_of(
+    st.sampled_from(['\\"', "\\\\", "\\b", "\\n", "\\t", "\\u001f", "\\u0008", "\\u00", "\\u", "\\q"]),
+    st.sampled_from(['"', "\\", "u", "0", "1", "f", "F"]),
+    st.characters(max_codepoint=0x1F),
+    st.characters(),
+)
+
+
+def _scan_outcome(scan, text, i):
+    try:
+        return scan(text, i)
+    except MalformedJsonError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(_SCAN_PIECES, max_size=12).map("".join), st.text(max_size=3))
+def test_scan_string_matches_reference(body, prefix):
+    """The run-at-a-time scanner gives the one-character-per-step
+    reference's value and end offset, or its error class and message."""
+    text = prefix + '"' + body
+    start = len(prefix)
+    assert _scan_outcome(_scan_string, text, start) == _scan_outcome(ref_scan_string, text, start)

@@ -73,16 +73,16 @@ def test_render_value():
 
 def test_depure_show():
     assert depure_show(destructure_device)(EXAMPLE_DEVICE) == (
-        [],
+        (),
         (False, (19, (1, ()))),
     )
-    assert depure_show(destructure_device)(Device(True, 0, 0)) == ([], (True, (0, (0, ()))))
+    assert depure_show(destructure_device)(Device(True, 0, 0)) == ((), (True, (0, (0, ()))))
 
 
 def test_showa_single_field():
     p = depure_show(lambda r: field_list(42))
     p = showa(p, render_value)
-    assert p(None) == (["42"], ())
+    assert p(None) == (("42", ()), ())
 
 
 def test_show_device():
@@ -97,9 +97,9 @@ def test_show_too_many_steps():
 
 
 def test_run_show():
-    assert run_show((["1", "19", "False"], ())) == "False 19 1"
-    assert run_show(([], ())) == ""
-    assert run_show((["x"], ())) == "x"
+    assert run_show((("1", ("19", ("False", ()))), ())) == "False 19 1"
+    assert run_show(((), ())) == ""
+    assert run_show((("x", ()), ())) == "x"
 
 
 def test_depure_map():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from recplug.errors import (
     ArityError,
+    Error,
     FieldTypeError,
     IntOverflowError,
     UnknownTypeError,
@@ -30,6 +31,8 @@ from recplug.records import (
     schema_for,
     uncons,
 )
+
+from support import ref_apply_field, ref_finish
 
 int64 = st.integers(min_value=I64_MIN, max_value=I64_MAX)
 
@@ -186,3 +189,49 @@ def test_avgs_instantiation_builds():
     assert rebuild(avgs, "benchmark_avg") == avgs
     with pytest.raises(FieldTypeError):
         rebuild(avgs, "benchmark")  # real apps do not fit the int instantiation
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Error as exc:
+        return type(exc), str(exc)
+
+
+builder_values = st.one_of(
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([I64_MIN - 1, I64_MIN, I64_MAX, I64_MAX + 1]),
+    st.text(max_size=3),
+    st.floats(allow_nan=False),
+    st.none(),
+)
+
+
+@given(st.sampled_from(sorted(REGISTRY)), st.lists(builder_values, max_size=6))
+def test_builder_matches_tuple_reference(type_id, values):
+    """Field by field, the cons-chain Builder agrees with the tuple-copying
+    one: same supplied values, equality and hash, and the same record or the
+    same error class and message from apply_field and finish."""
+    schema = schema_for(type_id)
+    b, ref = Builder(schema), ()
+    for v in values:
+        assert b.supplied == ref
+        assert b == Builder(schema, ref) and hash(b) == hash(Builder(schema, ref))
+        assert _outcome(finish, b) == _outcome(ref_finish, schema, ref)
+        got, want = _outcome(apply_field, b, v), _outcome(ref_apply_field, schema, ref, v)
+        if want[0] != "ok":
+            assert got == want
+            return
+        b, ref = got[1], want[1]
+    assert b.supplied == ref
+    assert _outcome(finish, b) == _outcome(ref_finish, schema, ref)
+
+
+def test_builder_steps_share_their_prefix():
+    schema = schema_for("device")
+    half = apply_field(Builder(schema), True)
+    left, right = apply_field(half, 1), apply_field(half, 2)
+    assert (half.supplied, left.supplied, right.supplied) == ((True,), (True, 1), (True, 2))
+    assert left != right and half == Builder(schema, (True,))
+    assert finish(apply_field(left, 3)) == Device(True, 1, 3)

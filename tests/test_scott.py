@@ -129,13 +129,13 @@ def test_chop_cps_defining_example():
 
 def test_depure_show_cps_seed_shape():
     state = depure_show_cps(destructure_device_cps)(EXAMPLE_DEVICE)
-    assert state(collect) == [[], False, 19, 1]
+    assert state(collect) == [(), False, 19, 1]
 
 
 def test_showa_cps_single_field():
     p = depure_show_cps(lambda r: cps_of(42))
     p = showa_cps(p, str)
-    assert p(None)(lambda stack: stack) == ["42"]
+    assert p(None)(lambda stack: stack) == ("42", ())
 
 
 def test_show_device_cps_matches_pair_track():
@@ -304,7 +304,7 @@ def test_wrong_nesting_order_is_a_shape_error():
 
 
 def test_run_show_cps_empty_stack():
-    state = cons_cps([], lambda k: k())
+    state = cons_cps((), lambda k: k())
     assert run_show_cps(state) == ""
 
 
