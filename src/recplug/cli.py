@@ -14,7 +14,7 @@ from .errors import Error
 from .records import EXAMPLE_DEVICE, Kind, RecordSchema, list_fields, schema_for
 
 _AVGS_SCHEMA = schema_for("benchmark_avg")
-_CONTROL = re.compile(r"[\x00-\x1f]")
+_HEX_IMAGE = re.compile(r"(?:[0-9a-f]{2})*")
 
 
 def _read_line(stdin) -> str:
@@ -33,7 +33,7 @@ def _showable(record, schema: RecordSchema) -> None:
             continue
         if " " in value:
             raise Error(f"field {spec.name!r} contains a space, not showable")
-        if _CONTROL.search(value):
+        if codecs.CONTROL.search(value):
             raise Error(f"field {spec.name!r} contains a control character, not showable")
 
 
@@ -98,11 +98,9 @@ def _encode_bin(args, stdin, stdout) -> None:
 def _decode_bin(args, stdin, stdout) -> None:
     schema = schema_for(args.type)
     line = _read_line(stdin)
-    try:
-        image = bytes.fromhex(line)
-    except ValueError:
-        raise Error(f"not a hex image: {line!r}") from None
-    record = codecs.decode_binary(image, schema)
+    if not _HEX_IMAGE.fullmatch(line):
+        raise Error(f"not a hex image: {line!r}")
+    record = codecs.decode_binary(bytes.fromhex(line), schema)
     print(codecs.to_named(record, schema), file=stdout)
 
 

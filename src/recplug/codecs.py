@@ -4,7 +4,10 @@ Three wire forms share the schema registry entry: a space-separated lexeme
 line (the pretty-printer's output, parsed back by an applicative chain), a
 binary image, and a flat named-field JSON subset.  Encoders are chop
 pipelines over the destructured record; decoders are applicative chains
-of primitive parsers over a cursor.
+of primitive parsers over a cursor.  A parser maps ``(src, pos)`` to a
+``(value, cursor)`` pair or raises its typed CodecError.  Chains and
+pipelines depend on the schema alone, so each is staged on first use into
+the schema's ``codec_plan``, and every later call runs that same value.
 
 Wire formats, bit-exact:
   bool   1 byte, 0x00/0x01
@@ -14,7 +17,8 @@ Floats have no binary form (averages are display-only).  The JSON subset
 is a flat object, keys in schema order on output, no whitespace, strings
 escaped exactly as ``json.dumps(..., ensure_ascii=False)`` escapes them:
 ``\\"`` and ``\\\\``, ``\\b \\f \\n \\r \\t``, and ``\\u00xx`` (lowercase hex) for
-the other characters below U+0020.  Input accepts exactly those escapes.
+the other characters below U+0020.  Input accepts exactly those escapes and
+no raw character below U+0020, in JSON strings and in string lexemes alike.
 """
 
 from __future__ import annotations
@@ -22,13 +26,11 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass
 from json.encoder import encode_basestring
-from typing import Any, Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .errors import (
     CodecError,
-    Error,
     ExtraKeyError,
     InvalidBoolError,
     MalformedJsonError,
@@ -54,26 +56,12 @@ from .records import (
     list_fields,
 )
 
+#: (src, pos) -> (value, cursor); a parser that fails raises a CodecError.
+Parser = Callable[[Sequence, int], tuple]
 
-@dataclass(frozen=True)
-class ParseOk:
-    value: Any
-    cursor: int
-
-
-@dataclass(frozen=True)
-class ParseErr:
-    message: str
-    position: int
-    error: Error
-
-
-ParserResult = Union[ParseOk, ParseErr]
-Parser = Callable[[Sequence, int], ParserResult]
-
-
-def _fail(error: CodecError, position: int) -> ParseErr:
-    return ParseErr(str(error), position, error)
+#: The characters no string may hold raw on a text track.
+CONTROL = re.compile(r"[\x00-\x1f]")
+_I64_DIGITS = len(str(I64_MIN))  # a longer canonical literal is out of range
 
 
 def _per_field(table: dict, schema: RecordSchema, form: str) -> tuple:
@@ -83,6 +71,15 @@ def _per_field(table: dict, schema: RecordSchema, form: str) -> tuple:
         if f.kind not in table:
             raise CodecError(f"{f.kind.value} field {f.name!r} has no {form} form")
     return tuple(table[f.kind] for f in schema.fields)
+
+
+def _staged(schema: RecordSchema, stage: Callable):
+    """``stage(schema)``, kept in the schema's codec plan once built.  A
+    stage that raises is not kept, so a missing form raises on every call."""
+    staged = schema.codec_plan.get(stage)
+    if staged is None:
+        staged = schema.codec_plan[stage] = stage(schema)
+    return staged
 
 
 def _checked(spec: FieldSpec, v):
@@ -98,13 +95,13 @@ def _checked(spec: FieldSpec, v):
 
 
 def p_pure(v) -> Parser:
-    return lambda src, pos: ParseOk(v, pos)
+    return lambda src, pos: (v, pos)
 
 
 class ApChain:
     """An applicative chain as data: ``head`` then each of ``parsers``, run
     left to right in one loop.  Every parsed value is applied to the
-    accumulated one (a Builder or a function); the first error
+    accumulated one (a Builder or a function); the first error raised
     short-circuits.  Instances are never mutated."""
 
     __slots__ = ("head", "parsers")
@@ -113,18 +110,12 @@ class ApChain:
         self.head = head
         self.parsers = parsers
 
-    def __call__(self, src, pos) -> ParserResult:
-        r = self.head(src, pos)
-        if isinstance(r, ParseErr):
-            return r
-        acc, pos = r.value, r.cursor
+    def __call__(self, src, pos) -> tuple:
+        acc, pos = self.head(src, pos)
         for parser in self.parsers:
-            r = parser(src, pos)
-            if isinstance(r, ParseErr):
-                return r
-            acc = apply_field(acc, r.value) if isinstance(acc, Builder) else acc(r.value)
-            pos = r.cursor
-        return ParseOk(acc, pos)
+            v, pos = parser(src, pos)
+            acc = apply_field(acc, v) if isinstance(acc, Builder) else acc(v)
+        return acc, pos
 
 
 def p_ap(pf: Parser, pa: Parser) -> Parser:
@@ -133,6 +124,11 @@ def p_ap(pf: Parser, pa: Parser) -> Parser:
     if isinstance(pf, ApChain):
         return ApChain(pf.head, pf.parsers + (pa,))
     return ApChain(pf, (pa,))
+
+
+def _chain(table: dict, form: str) -> Callable:
+    """A decoder's stage: ``table``'s primitives after the empty Builder."""
+    return lambda schema: ApChain(p_pure(Builder(schema)), _per_field(table, schema, form))
 
 
 # ---------------------------------------------------------------------------
@@ -147,59 +143,57 @@ def lexemes(line: str) -> list[str]:
 _INT_RE = re.compile(r"-?(0|[1-9][0-9]*)")
 
 
+def _lexeme_at(src, pos, what: str) -> str:
+    if pos >= len(src):
+        raise ParseError(f"expected {what}, stream exhausted", pos)
+    return src[pos]
+
+
 def p_bool() -> Parser:
     def run(src, pos):
-        if pos >= len(src):
-            return _fail(ParseError("expected a boolean, stream exhausted", pos), pos)
-        lex = src[pos]
+        lex = _lexeme_at(src, pos, "a boolean")
         if lex == "False":
-            return ParseOk(False, pos + 1)
+            return False, pos + 1
         if lex == "True":
-            return ParseOk(True, pos + 1)
-        return _fail(ParseError(f"expected 'False' or 'True', got {lex!r}", pos), pos)
+            return True, pos + 1
+        raise ParseError(f"expected 'False' or 'True', got {lex!r}", pos)
 
     return run
 
 
 def p_int() -> Parser:
     def run(src, pos):
-        if pos >= len(src):
-            return _fail(ParseError("expected an integer, stream exhausted", pos), pos)
-        lex = src[pos]
+        lex = _lexeme_at(src, pos, "an integer")
         if not _INT_RE.fullmatch(lex) or lex == "-0":
-            return _fail(ParseError(f"not a canonical integer: {lex!r}", pos), pos)
-        v = int(lex)
-        if not I64_MIN <= v <= I64_MAX:
-            return _fail(
-                ParseError(f"integer out of 64-bit signed range: {lex}", pos), pos
-            )
-        return ParseOk(v, pos + 1)
+            raise ParseError(f"not a canonical integer: {lex!r}", pos)
+        if len(lex) > _I64_DIGITS or not I64_MIN <= (v := int(lex)) <= I64_MAX:
+            raise ParseError(f"integer out of 64-bit signed range: {lex}", pos)
+        return v, pos + 1
 
     return run
 
 
 def p_str() -> Parser:
     def run(src, pos):
-        if pos >= len(src):
-            return _fail(ParseError("expected a string, stream exhausted", pos), pos)
-        return ParseOk(src[pos], pos + 1)
+        lex = _lexeme_at(src, pos, "a string")
+        if CONTROL.search(lex):
+            raise ParseError(f"control character in string: {lex!r}", pos)
+        return lex, pos + 1
 
     return run
 
 
 def p_real() -> Parser:
     def run(src, pos):
-        if pos >= len(src):
-            return _fail(ParseError("expected a real, stream exhausted", pos), pos)
-        lex = src[pos]
+        lex = _lexeme_at(src, pos, "a real")
         try:
             v = float(lex)
         except ValueError:
             v = math.nan
         # Exactly what render_value prints for a finite float.
         if not math.isfinite(v) or repr(v) != lex:
-            return _fail(ParseError(f"not a canonical finite real: {lex!r}", pos), pos)
-        return ParseOk(v, pos + 1)
+            raise ParseError(f"not a canonical finite real: {lex!r}", pos)
+        return v, pos + 1
 
     return run
 
@@ -210,20 +204,17 @@ _LEXEME_PRIMITIVES = {
     Kind.STR: p_str(),
     Kind.REAL: p_real(),
 }
+_lexeme_chain = _chain(_LEXEME_PRIMITIVES, "lexeme")
 
 
 def parse_record(stream: Sequence[str], schema: RecordSchema):
     """Strict applicative parse: the whole stream must be consumed."""
-    parsers = _per_field(_LEXEME_PRIMITIVES, schema, "lexeme")
-    result = ApChain(p_pure(Builder(schema)), parsers)(stream, 0)
-    if isinstance(result, ParseErr):
-        raise result.error
-    if result.cursor != len(stream):
+    built, cursor = _staged(schema, _lexeme_chain)(stream, 0)
+    if cursor != len(stream):
         raise TrailingInputError(
-            f"{len(stream) - result.cursor} unconsumed lexeme(s)"
-            f" at position {result.cursor}"
+            f"{len(stream) - cursor} unconsumed lexeme(s) at position {cursor}"
         )
-    return finish(result.value)
+    return finish(built)
 
 
 # ---------------------------------------------------------------------------
@@ -248,57 +239,56 @@ def _bin_chunk(spec: FieldSpec, encode):
     return lambda v: encode(_checked(spec, v))
 
 
-def encode_binary(record, schema: RecordSchema) -> bytes:
+def _binary_show(schema: RecordSchema):
     encoders = _per_field(_BINARY_ENCODERS, schema, "binary")
-    emits = map(_bin_chunk, schema.fields, encoders)
-    chunks, _ = show_pipeline(schema.destruct, emits)(record)
+    return show_pipeline(schema.destruct, map(_bin_chunk, schema.fields, encoders))
+
+
+def encode_binary(record, schema: RecordSchema) -> bytes:
+    chunks, _ = _staged(schema, _binary_show)(record)
     return b"".join(reversed(list_fields(chunks)))
 
 
 def _b_bool(data, pos):
     if pos + 1 > len(data):
-        return _fail(TruncatedError(f"need 1 byte at offset {pos}"), pos)
+        raise TruncatedError(f"need 1 byte at offset {pos}")
     b = data[pos]
     if b > 1:
-        return _fail(
-            InvalidBoolError(f"invalid boolean byte 0x{b:02x} at offset {pos}"), pos
-        )
-    return ParseOk(bool(b), pos + 1)
+        raise InvalidBoolError(f"invalid boolean byte 0x{b:02x} at offset {pos}")
+    return bool(b), pos + 1
 
 
 def _b_int(data, pos):
     if pos + 8 > len(data):
-        return _fail(TruncatedError(f"need 8 bytes at offset {pos}"), pos)
-    return ParseOk(struct.unpack_from("<q", data, pos)[0], pos + 8)
+        raise TruncatedError(f"need 8 bytes at offset {pos}")
+    return struct.unpack_from("<q", data, pos)[0], pos + 8
 
 
 def _b_str(data, pos):
     if pos + 4 > len(data):
-        return _fail(TruncatedError(f"need a 4-byte length at offset {pos}"), pos)
+        raise TruncatedError(f"need a 4-byte length at offset {pos}")
     n = struct.unpack_from("<I", data, pos)[0]
     if pos + 4 + n > len(data):
-        return _fail(TruncatedError(f"need {n} string bytes at offset {pos + 4}"), pos)
+        raise TruncatedError(f"need {n} string bytes at offset {pos + 4}")
     try:
         s = bytes(data[pos + 4 : pos + 4 + n]).decode("utf-8")
     except UnicodeDecodeError as exc:
-        return _fail(CodecError(f"invalid UTF-8 at offset {pos + 4}: {exc}"), pos)
-    return ParseOk(s, pos + 4 + n)
+        raise CodecError(f"invalid UTF-8 at offset {pos + 4}: {exc}") from None
+    return s, pos + 4 + n
 
 
 _BINARY_PRIMITIVES = {Kind.BOOL: _b_bool, Kind.INT: _b_int, Kind.STR: _b_str}
+_binary_chain = _chain(_BINARY_PRIMITIVES, "binary")
 
 
 def decode_binary(image: bytes, schema: RecordSchema):
     """Strict inverse of encode_binary: every byte must be consumed."""
-    parsers = _per_field(_BINARY_PRIMITIVES, schema, "binary")
-    result = ApChain(p_pure(Builder(schema)), parsers)(image, 0)
-    if isinstance(result, ParseErr):
-        raise result.error
-    if result.cursor != len(image):
+    built, cursor = _staged(schema, _binary_chain)(image, 0)
+    if cursor != len(image):
         raise TrailingBytesError(
-            f"{len(image) - result.cursor} unconsumed byte(s) at offset {result.cursor}"
+            f"{len(image) - cursor} unconsumed byte(s) at offset {cursor}"
         )
-    return finish(result.value)
+    return finish(built)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +312,18 @@ def _named_pair(spec: FieldSpec):
     return lambda v: key + _json_value(_checked(spec, v))
 
 
+def _named_show(schema: RecordSchema):
+    return show_pipeline(schema.destruct, map(_named_pair, schema.fields))
+
+
 def to_named(record, schema: RecordSchema) -> str:
     """Emit a flat object, keys in schema order, no whitespace."""
-    pairs, _ = show_pipeline(schema.destruct, map(_named_pair, schema.fields))(record)
+    pairs, _ = _staged(schema, _named_show)(record)
     return "{" + ",".join(reversed(list_fields(pairs))) + "}"
 
 
 _NUM_RE = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
-_PLAIN_RUN = re.compile(r'[^"\\]*')
+_PLAIN_RUN = re.compile(r'[^"\\\x00-\x1f]*')
 #: Each escape the encoder writes, without its backslash, and what it stands
 #: for: the inverse of encode_basestring on '"', '\\' and U+0000-U+001F.
 _JSON_UNESCAPES = {
@@ -347,6 +341,8 @@ def _scan_string(text: str, i: int) -> tuple[str, int]:
             raise MalformedJsonError("unterminated string")
         if text[j] == '"':
             return "".join(out), j + 1
+        if text[j] != "\\":
+            raise MalformedJsonError(f"raw control character {text[j]!r} at offset {j}")
         if j + 1 == len(text):
             raise MalformedJsonError(f"unterminated escape at offset {j}")
         e = text[j + 1 : j + 6] if text[j + 1] == "u" else text[j + 1]
@@ -375,8 +371,7 @@ def _scan_value(text: str, i: int):
             return v, m.end()
         if tok == "-0":
             raise MalformedJsonError(f"non-canonical integer -0 at offset {i}")
-        v = int(tok)
-        if not I64_MIN <= v <= I64_MAX:
+        if len(tok) > _I64_DIGITS or not I64_MIN <= (v := int(tok)) <= I64_MAX:
             raise MalformedJsonError(f"integer out of 64-bit signed range: {tok}")
         return v, m.end()
     raise MalformedJsonError(f"unrecognized value at offset {i}")
@@ -411,10 +406,14 @@ def _scan_named(text: str) -> dict:
     return pairs
 
 
+def _wire_names(schema: RecordSchema) -> frozenset:
+    return frozenset(f.name for f in schema.fields)
+
+
 def from_named(text: str, schema: RecordSchema):
     """Rebuild a record by name; key order is free, extras are rejected."""
     pairs = _scan_named(text)
-    extra = set(pairs) - {f.name for f in schema.fields}
+    extra = pairs.keys() - _staged(schema, _wire_names)
     if extra:
         raise ExtraKeyError(f"unexpected key(s): {', '.join(sorted(extra))}")
     b = Builder(schema)

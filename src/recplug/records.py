@@ -8,7 +8,7 @@ yields the record after exactly arity applications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable, Union
@@ -135,6 +135,8 @@ class RecordSchema:
     ctor: Callable[..., Any]
     destruct: Callable[[Any], FieldList]
     fields: tuple[FieldSpec, ...]
+    #: The codecs staged from this schema by ``codecs``; not part of its value.
+    codec_plan: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @property
     def arity(self) -> int:

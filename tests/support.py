@@ -2,15 +2,50 @@
 
 import dataclasses
 import operator
+import struct
 from contextlib import contextmanager
 
+from recplug.codecs import (
+    _b_bool,
+    _b_int,
+    _b_str,
+    _bin_chunk,
+    _e_str,
+    _named_pair,
+    _scan_named,
+    p_ap,
+    p_bool,
+    p_int,
+    p_pure,
+    p_real,
+    p_str,
+)
 from recplug.errors import (
     ArityError,
+    CodecError,
     ContinuationShapeError,
+    ExtraKeyError,
     FieldTypeError,
     MalformedJsonError,
+    MissingKeyError,
+    TrailingBytesError,
+    TrailingInputError,
+    WrongValueKindError,
 )
-from recplug.records import REGISTRY, Benchmark, Device, Kind, check_int_range, kind_of, register
+from recplug.pipelines import show_pipeline
+from recplug.records import (
+    REGISTRY,
+    Benchmark,
+    Builder,
+    Device,
+    Kind,
+    apply_field,
+    check_int_range,
+    finish,
+    kind_of,
+    list_fields,
+    register,
+)
 from recplug.scott import cps_destructor
 
 # Headroom so the demo arithmetic (+100, +200, pairwise and three-way sums)
@@ -213,7 +248,8 @@ def ref_finish(schema, supplied: tuple):
 # ---------------------------------------------------------------------------
 # Reference JSON string scanner: one character per step, the form the
 # run-at-a-time codecs._scan_string replaced, with the escapes the encoder
-# writes spelled out by hand.
+# writes spelled out by hand.  Like the encoder's output, a string holds no
+# raw character below U+0020.
 
 REF_ESCAPES = {'"': '"', "\\": "\\", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
 REF_ESCAPES.update(
@@ -236,7 +272,78 @@ def ref_scan_string(text: str, i: int) -> tuple:
                 raise MalformedJsonError(f"unsupported escape \\{e} at offset {i}")
             out.append(REF_ESCAPES[e])
             i += 1 + len(e)
+        elif c < " ":
+            raise MalformedJsonError(f"raw control character {c!r} at offset {i}")
         else:
             out.append(c)
             i += 1
     raise MalformedJsonError("unterminated string")
+
+
+# ---------------------------------------------------------------------------
+# Reference codecs, unstaged: every call builds its primitive table, its
+# applicative chain and its show pipeline afresh, the form the per-schema
+# codec plan replaced.
+
+
+def _ref_per_field(table, schema, form):
+    for f in schema.fields:
+        if f.kind not in table:
+            raise CodecError(f"{f.kind.value} field {f.name!r} has no {form} form")
+    return [table[f.kind] for f in schema.fields]
+
+
+def _ref_chain(table, schema, form):
+    parser = p_pure(Builder(schema))
+    for primitive in _ref_per_field(table, schema, form):
+        parser = p_ap(parser, primitive)
+    return parser
+
+
+def ref_parse_record(stream, schema):
+    table = {Kind.BOOL: p_bool(), Kind.INT: p_int(), Kind.STR: p_str(), Kind.REAL: p_real()}
+    built, cursor = _ref_chain(table, schema, "lexeme")(stream, 0)
+    if cursor != len(stream):
+        raise TrailingInputError(
+            f"{len(stream) - cursor} unconsumed lexeme(s) at position {cursor}"
+        )
+    return finish(built)
+
+
+def ref_decode_binary(image, schema):
+    table = {Kind.BOOL: _b_bool, Kind.INT: _b_int, Kind.STR: _b_str}
+    built, cursor = _ref_chain(table, schema, "binary")(image, 0)
+    if cursor != len(image):
+        raise TrailingBytesError(f"{len(image) - cursor} unconsumed byte(s) at offset {cursor}")
+    return finish(built)
+
+
+def ref_encode_binary(record, schema):
+    table = {Kind.BOOL: struct.Struct("<?").pack, Kind.INT: struct.Struct("<q").pack, Kind.STR: _e_str}
+    encoders = _ref_per_field(table, schema, "binary")
+    pipeline = show_pipeline(schema.destruct, map(_bin_chunk, schema.fields, encoders))
+    chunks, _ = pipeline(record)
+    return b"".join(reversed(list_fields(chunks)))
+
+
+def ref_to_named(record, schema):
+    pairs, _ = show_pipeline(schema.destruct, map(_named_pair, schema.fields))(record)
+    return "{" + ",".join(reversed(list_fields(pairs))) + "}"
+
+
+def ref_from_named(text, schema):
+    pairs = _scan_named(text)
+    extra = set(pairs) - {f.name for f in schema.fields}
+    if extra:
+        raise ExtraKeyError(f"unexpected key(s): {', '.join(sorted(extra))}")
+    b = Builder(schema)
+    for f in schema.fields:
+        if f.name not in pairs:
+            raise MissingKeyError(f"missing key {f.name!r}")
+        v = pairs[f.name]
+        if kind_of(v) is not f.kind:
+            raise WrongValueKindError(
+                f"key {f.name!r} expects {f.kind.value}, got {kind_of(v).value}"
+            )
+        b = apply_field(b, v)
+    return finish(b)

@@ -100,6 +100,29 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
             ["show", "--type", "benchmark", "--encoding", "scott"],
             '{"firstApp":1,"firstLog":"a","secondApp":2,"secondLog":"b\\n"}\n',
         ),
+        # Integer literals past int()'s 4300-digit limit.
+        pytest.param(
+            ["to-json", "--type", "device"],
+            '{"block":false,"major":' + "9" * 5000 + ',"minor":1}\n',
+            id="to-json-5000-digits",
+        ),
+        pytest.param(["parse", "--type", "device"], "False " + "9" * 5000 + " 1\n", id="parse-5000-digits"),
+        # A raw control character in a string lexeme or a JSON string.
+        pytest.param(["parse", "--type", "benchmark"], "1 a\tb 2 c\n", id="parse-raw-tab"),
+        pytest.param(
+            ["from-json", "--type", "benchmark"],
+            '{"firstApp":1,"firstLog":"a\tb","secondApp":2,"secondLog":"c"}\n',
+            id="from-json-raw-tab",
+        ),
+        # Hex images are lowercase, two digits per byte, with no spaces.
+        pytest.param(
+            ["decode-bin", "--type", "device"], "00 1300000000000000 0100000000000000\n", id="hex-spaced"
+        ),
+        pytest.param(
+            ["decode-bin", "--type", "benchmark"],
+            "0A00000000000000010000006114000000000000000100000062\n",
+            id="hex-uppercase",
+        ),
     ],
 )
 def test_domain_errors_exit_1(monkeypatch, capsys, argv, stdin_text):

@@ -10,8 +10,6 @@ from recplug.codecs import (
     _LEXEME_PRIMITIVES,
     _scan_string,
     ApChain,
-    ParseErr,
-    ParseOk,
     decode_binary,
     encode_binary,
     from_named,
@@ -26,6 +24,7 @@ from recplug.codecs import (
 )
 from recplug.errors import (
     CodecError,
+    Error,
     ExtraKeyError,
     InvalidBoolError,
     MalformedJsonError,
@@ -36,7 +35,7 @@ from recplug.errors import (
     TruncatedError,
     WrongValueKindError,
 )
-from recplug.pipelines import run_show, show_record
+from recplug.pipelines import render_value, run_show, show_record
 from recplug.records import (
     EXAMPLE_DEVICE,
     I64_MAX,
@@ -49,10 +48,19 @@ from recplug.records import (
     Kind,
     RecordSchema,
     apply_field,
+    field_list,
     schema_for,
 )
 
-from support import random_device, ref_scan_string
+from support import (
+    random_device,
+    ref_decode_binary,
+    ref_encode_binary,
+    ref_from_named,
+    ref_parse_record,
+    ref_scan_string,
+    ref_to_named,
+)
 
 DEVICE = schema_for("device")
 BENCHMARK = schema_for("benchmark")
@@ -74,46 +82,48 @@ control_text = st.text(st.one_of(st.characters(max_codepoint=0x1F), st.character
 
 
 def test_p_pure():
-    assert p_pure(7)(["x"], 0) == ParseOk(7, 0)
-    assert p_pure(7)([], 0) == ParseOk(7, 0)
+    assert p_pure(7)(["x"], 0) == (7, 0)
+    assert p_pure(7)([], 0) == (7, 0)
 
 
 def test_p_bool():
-    assert p_bool()(["True"], 0) == ParseOk(True, 1)
-    assert p_bool()(["False"], 0) == ParseOk(False, 1)
-    assert isinstance(p_bool()(["yes"], 0), ParseErr)
-    assert isinstance(p_bool()([], 0), ParseErr)
+    assert p_bool()(["True"], 0) == (True, 1)
+    assert p_bool()(["False"], 0) == (False, 1)
+    for src in (["yes"], []):
+        with pytest.raises(ParseError):
+            p_bool()(src, 0)
 
 
 def test_p_int():
-    assert p_int()(["19"], 0) == ParseOk(19, 1)
-    assert p_int()(["-5"], 0) == ParseOk(-5, 1)
-    assert p_int()(["0"], 0) == ParseOk(0, 1)
+    assert p_int()(["19"], 0) == (19, 1)
+    assert p_int()(["-5"], 0) == (-5, 1)
+    assert p_int()(["0"], 0) == (0, 1)
     for bad in ("019", "+1", "-0", "1.5", "", "x"):
-        assert isinstance(p_int()([bad], 0), ParseErr)
-    # 64-bit boundaries
-    assert p_int()([str(I64_MAX)], 0) == ParseOk(I64_MAX, 1)
-    assert p_int()([str(I64_MIN)], 0) == ParseOk(I64_MIN, 1)
-    assert isinstance(p_int()([str(I64_MAX + 1)], 0), ParseErr)
-    assert isinstance(p_int()(["9223372036854775808"], 0), ParseErr)
+        with pytest.raises(ParseError):
+            p_int()([bad], 0)
+    # 64-bit boundaries, and a literal past int()'s digit limit
+    assert p_int()([str(I64_MAX)], 0) == (I64_MAX, 1)
+    assert p_int()([str(I64_MIN)], 0) == (I64_MIN, 1)
+    for bad in (str(I64_MAX + 1), "9223372036854775808", str(I64_MIN - 1), "9" * 5000):
+        with pytest.raises(ParseError, match="out of 64-bit signed range"):
+            p_int()([bad], 0)
 
 
 def test_p_str():
-    assert p_str()(["anything"], 0) == ParseOk("anything", 1)
-    assert p_str()([""], 0) == ParseOk("", 1)
-    assert isinstance(p_str()([], 0), ParseErr)
+    assert p_str()(["anything"], 0) == ("anything", 1)
+    assert p_str()([""], 0) == ("", 1)
+    for src in ([], ["a\tb"], ["\x00"], ["x\x1f"]):
+        with pytest.raises(ParseError):
+            p_str()(src, 0)
 
 
 def test_p_ap_chain():
-    from recplug.records import Builder
-
     parser = p_pure(Builder(DEVICE))
     for prim in (p_bool(), p_int(), p_int()):
         parser = p_ap(parser, prim)
-    result = parser(["False", "19", "1"], 0)
-    assert isinstance(result, ParseOk)
-    assert result.value.supplied == (False, 19, 1)
-    assert result.cursor == 3
+    value, cursor = parser(["False", "19", "1"], 0)
+    assert value.supplied == (False, 19, 1)
+    assert cursor == 3
 
 
 def test_p_ap_short_circuits():
@@ -121,11 +131,11 @@ def test_p_ap_short_circuits():
 
     def second(src, pos):
         ran.append(pos)
-        return ParseOk(1, pos + 1)
+        return 1, pos + 1
 
     failing = p_bool()  # "nope" is not a boolean
-    result = p_ap(p_ap(p_pure(lambda v: v), failing), second)(["nope"], 0)
-    assert isinstance(result, ParseErr)
+    with pytest.raises(ParseError):
+        p_ap(p_ap(p_pure(lambda v: v), failing), second)(["nope"], 0)
     assert ran == []
 
 
@@ -319,15 +329,9 @@ def test_one_schema_entry_per_type():
 # The nested-closure p_ap that ApChain replaced, kept as the reference.
 def nested_p_ap(pf, pa):
     def run(src, pos):
-        rf = pf(src, pos)
-        if isinstance(rf, ParseErr):
-            return rf
-        ra = pa(src, rf.cursor)
-        if isinstance(ra, ParseErr):
-            return ra
-        step = rf.value
-        out = apply_field(step, ra.value) if isinstance(step, Builder) else step(ra.value)
-        return ParseOk(out, ra.cursor)
+        step, pos = pf(src, pos)
+        v, pos = pa(src, pos)
+        return (apply_field(step, v) if isinstance(step, Builder) else step(v)), pos
 
     return run
 
@@ -343,16 +347,17 @@ def chains(primitives, kinds):
     return flat, nested
 
 
-def same_result(flat, nested):
-    if isinstance(nested, ParseErr):
-        assert isinstance(flat, ParseErr)
-        assert (flat.message, flat.position, type(flat.error)) == (
-            nested.message,
-            nested.position,
-            type(nested.error),
-        )
-    else:
-        assert flat == nested
+def _run(parser, src, start):
+    """parser's (value, cursor), or the class, message and lexeme position
+    of the error it raised."""
+    try:
+        return parser(src, start)
+    except CodecError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def same_result(flat, nested, src, start):
+    assert _run(flat, src, start) == _run(nested, src, start)
 
 
 field_kinds = st.lists(st.sampled_from([Kind.BOOL, Kind.INT, Kind.STR]), max_size=6)
@@ -367,7 +372,7 @@ binary_pieces = [b"\x00", b"\x01", b"\x02", b"\x01\x00\x00\x00a", b"\x09\x00\x00
 )
 def test_flat_lexeme_chain_equals_nested(kinds, stream, start):
     flat, nested = chains(_LEXEME_PRIMITIVES, kinds)
-    same_result(flat(stream, start), nested(stream, start))
+    same_result(flat, nested, stream, start)
 
 
 @given(
@@ -377,7 +382,7 @@ def test_flat_lexeme_chain_equals_nested(kinds, stream, start):
 )
 def test_flat_binary_chain_equals_nested(kinds, image, start):
     flat, nested = chains(_BINARY_PRIMITIVES, kinds)
-    same_result(flat(image, start), nested(image, start))
+    same_result(flat, nested, image, start)
 
 
 @given(int64, control_text, int64, control_text)
@@ -423,3 +428,77 @@ def test_scan_string_matches_reference(body, prefix):
     text = prefix + '"' + body
     start = len(prefix)
     assert _scan_outcome(_scan_string, text, start) == _scan_outcome(ref_scan_string, text, start)
+
+
+# ---------------------------------------------------------------------------
+# The staged codecs against the unstaged reference in support.py.
+
+field_values = {
+    Kind.BOOL: st.booleans(),
+    Kind.INT: st.one_of(int64, st.integers()),
+    Kind.STR: st.text(max_size=8),
+    Kind.REAL: st.floats(),
+}
+any_value = st.one_of(*field_values.values())
+
+
+def _throwaway(kinds):
+    """A schema outside the registry, with a fresh (empty) codec plan."""
+    specs = tuple(FieldSpec(f"f{i}", k) for i, k in enumerate(kinds))
+    return RecordSchema("throwaway", lambda *vs: vs, lambda r: field_list(*r), specs)
+
+
+schemas = st.one_of(
+    st.sampled_from(sorted(REGISTRY)).map(schema_for),
+    st.lists(st.sampled_from(list(Kind)), max_size=5).map(_throwaway),
+)
+wire_keys = st.sampled_from(
+    ["block", "major", "minor", "firstApp", "firstLog", "secondApp", "secondLog", "f0", "f1", "x"]
+)
+named_text = st.one_of(
+    st.text(max_size=24),
+    st.dictionaries(wire_keys, any_value, max_size=5).map(lambda d: json.dumps(d, separators=(",", ":"))),
+)
+lexeme_stream = st.lists(
+    st.one_of(st.sampled_from(lexeme_pool + ["2.5", "-0.0", "1e+16", "a\tb", "9" * 30]), st.text(max_size=3)),
+    max_size=6,
+)
+image_bytes = st.one_of(
+    st.binary(max_size=32), st.lists(st.sampled_from(binary_pieces), max_size=8).map(b"".join)
+)
+
+
+def _outcome(codec, arg, schema):
+    try:
+        return "ok", codec(arg, schema)
+    except Error as exc:
+        return type(exc), str(exc)
+
+
+@given(st.data(), schemas, named_text, lexeme_stream, image_bytes)
+def test_staged_codecs_match_unstaged_reference(data, schema, text, stream, image):
+    """Each entry point, run twice on one schema, gives the reference's
+    value, or its error class and message; the second run reads the plan
+    the first one staged, and a form the schema lacks raises again."""
+    values = [data.draw(st.one_of(field_values[f.kind], any_value)) for f in schema.fields]
+    record = schema.ctor(*values)
+    cases = [
+        (from_named, ref_from_named, text),
+        (to_named, ref_to_named, record),
+        (encode_binary, ref_encode_binary, record),
+        (decode_binary, ref_decode_binary, image),
+        (parse_record, ref_parse_record, stream),
+        (parse_record, ref_parse_record, [render_value(v) for v in values]),
+    ]
+    # The record's own images, so that decoding also succeeds.
+    for encode, decode, ref_decode in (
+        (ref_to_named, from_named, ref_from_named),
+        (ref_encode_binary, decode_binary, ref_decode_binary),
+    ):
+        done, out = _outcome(encode, record, schema)
+        if done == "ok":
+            cases.append((decode, ref_decode, out))
+    for staged, reference, arg in cases:
+        want = _outcome(reference, arg, schema)
+        assert _outcome(staged, arg, schema) == want
+        assert _outcome(staged, arg, schema) == want
