@@ -2,10 +2,11 @@
 
 Records cross the process boundary as one flat JSON object per line;
 binary images cross as lowercase hex.  Exit codes: 0 success, 1 domain
-error (one-line diagnostic on stderr), 2 usage error.
+error (one-line diagnostic on stderr) or closed stdout, 2 usage error.
 """
 
 import argparse
+import os
 import re
 import sys
 
@@ -37,20 +38,15 @@ def _showable(record, schema: RecordSchema) -> None:
             raise Error(f"field {spec.name!r} contains a control character, not showable")
 
 
-def _by_encoding(args, by_pairs, by_cps):
-    """The result --encoding selects, once both tracks are shown to agree."""
-    if by_pairs != by_cps:
-        raise Error("encoding tracks disagree")
-    return by_cps if args.encoding == "scott" else by_pairs
-
-
 def _show(args, stdin, stdout) -> None:
     schema = schema_for(args.type)
     record = _read_record(stdin, schema)
     _showable(record, schema)
-    by_pairs = pipelines.run_show(pipelines.show_record(args.type)(record))
-    by_cps = scott.run_show_cps(scott.show_record_cps(args.type)(record))
-    print(_by_encoding(args, by_pairs, by_cps), file=stdout)
+    if args.encoding == "scott":
+        shown = scott.run_show_cps(scott.show_record_cps(args.type)(record))
+    else:
+        shown = pipelines.run_show(pipelines.show_record(args.type)(record))
+    print(shown, file=stdout)
 
 
 def _parse(args, stdin, stdout) -> None:
@@ -60,17 +56,19 @@ def _parse(args, stdin, stdout) -> None:
 
 
 def _map_demo(args, stdin, stdout) -> None:
-    by_pairs = pipelines.run_map(pipelines.map_device_demo()(EXAMPLE_DEVICE))
-    by_cps = scott.run_map_cps(scott.map_device_demo_cps()(EXAMPLE_DEVICE))
-    result = _by_encoding(args, by_pairs, by_cps)
+    if args.encoding == "scott":
+        result = scott.run_map_cps(scott.map_device_demo_cps()(EXAMPLE_DEVICE))
+    else:
+        result = pipelines.run_map(pipelines.map_device_demo()(EXAMPLE_DEVICE))
     print(codecs.to_named(result, schema_for("device")), file=stdout)
 
 
 def _zip_demo(args, stdin, stdout) -> None:
     mapped = pipelines.run_map(pipelines.map_device_demo()(EXAMPLE_DEVICE))
-    by_pairs = pipelines.run_zip(pipelines.zip_device_demo()(EXAMPLE_DEVICE, mapped))
-    by_cps = scott.run_zip_cps(scott.zip_device_demo_cps()(EXAMPLE_DEVICE, mapped))
-    result = _by_encoding(args, by_pairs, by_cps)
+    if args.encoding == "scott":
+        result = scott.run_zip_cps(scott.zip_device_demo_cps()(EXAMPLE_DEVICE, mapped))
+    else:
+        result = pipelines.run_zip(pipelines.zip_device_demo()(EXAMPLE_DEVICE, mapped))
     print(codecs.to_named(result, schema_for("device")), file=stdout)
 
 
@@ -110,12 +108,19 @@ def _named_bridge(args, stdin, stdout) -> None:
     print(codecs.to_named(record, schema), file=stdout)
 
 
-def _add_type(sub) -> None:
-    sub.add_argument("--type", required=True, choices=sorted(records.REGISTRY))
-
-
-def _add_encoding(sub) -> None:
-    sub.add_argument("--encoding", default="lisp", choices=("lisp", "scott"))
+# (command, help, handler, takes --type, takes --encoding)
+_COMMANDS = (
+    ("show", "JSON record on stdin -> lexeme line", _show, True, True),
+    ("parse", "lexeme line on stdin -> JSON record", _parse, True, False),
+    ("map-demo", "run the fixed field-map pipeline", _map_demo, False, True),
+    ("zip-demo", "run the fixed two-record zip pipeline", _zip_demo, False, True),
+    ("remap-demo", "run the fixed stack-machine pipeline", _remap_demo, False, False),
+    ("avg", "JSON benchmarks on stdin -> averaged JSON", _avg, False, False),
+    ("encode-bin", "JSON record on stdin -> hex image", _encode_bin, True, False),
+    ("decode-bin", "hex image on stdin -> JSON record", _decode_bin, True, False),
+    ("to-json", "validate and canonicalize a JSON record", _named_bridge, True, False),
+    ("from-json", "validate and canonicalize a JSON record", _named_bridge, True, False),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,46 +128,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="recplug", description="record pipeline demos and codecs"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("show", help="JSON record on stdin -> lexeme line")
-    _add_type(sub)
-    _add_encoding(sub)
-    sub.set_defaults(handler=_show)
-
-    sub = subs.add_parser("parse", help="lexeme line on stdin -> JSON record")
-    _add_type(sub)
-    sub.set_defaults(handler=_parse)
-
-    sub = subs.add_parser("map-demo", help="run the fixed field-map pipeline")
-    _add_encoding(sub)
-    sub.set_defaults(handler=_map_demo)
-
-    sub = subs.add_parser("zip-demo", help="run the fixed two-record zip pipeline")
-    _add_encoding(sub)
-    sub.set_defaults(handler=_zip_demo)
-
-    sub = subs.add_parser("remap-demo", help="run the fixed stack-machine pipeline")
-    sub.set_defaults(handler=_remap_demo)
-
-    sub = subs.add_parser("avg", help="JSON benchmarks on stdin -> averaged JSON")
-    sub.set_defaults(handler=_avg)
-
-    sub = subs.add_parser("encode-bin", help="JSON record on stdin -> hex image")
-    _add_type(sub)
-    sub.set_defaults(handler=_encode_bin)
-
-    sub = subs.add_parser("decode-bin", help="hex image on stdin -> JSON record")
-    _add_type(sub)
-    sub.set_defaults(handler=_decode_bin)
-
-    sub = subs.add_parser("to-json", help="validate and canonicalize a JSON record")
-    _add_type(sub)
-    sub.set_defaults(handler=_named_bridge)
-
-    sub = subs.add_parser("from-json", help="validate and canonicalize a JSON record")
-    _add_type(sub)
-    sub.set_defaults(handler=_named_bridge)
-
+    for name, help_text, handler, typed, tracked in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        if typed:
+            sub.add_argument("--type", required=True, choices=sorted(records.REGISTRY))
+        if tracked:
+            sub.add_argument("--encoding", default="lisp", choices=("lisp", "scott"))
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -181,4 +153,12 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early.  As the signal docs advise, point it at
+        # devnull, so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

@@ -19,10 +19,15 @@ escaped exactly as ``json.dumps(..., ensure_ascii=False)`` escapes them:
 ``\\"`` and ``\\\\``, ``\\b \\f \\n \\r \\t``, and ``\\u00xx`` (lowercase hex) for
 the other characters below U+0020.  Input accepts exactly those escapes and
 no raw character below U+0020, in JSON strings and in string lexemes alike.
+The scanner (``_scan_named``) defines the accepted JSON language and gives
+every error; the stdlib C decoder only fast-paths a line already in the
+canonical form to_named writes (any key order), which the scanner would
+read to the same pairs.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import struct
@@ -62,6 +67,13 @@ Parser = Callable[[Sequence, int], tuple]
 #: The characters no string may hold raw on a text track.
 CONTROL = re.compile(r"[\x00-\x1f]")
 _I64_DIGITS = len(str(I64_MIN))  # a longer canonical literal is out of range
+
+
+def _out_of_range(literal: str) -> str:
+    """The out-of-range message; a literal longer than any i64 is cut short."""
+    if len(literal) > _I64_DIGITS:
+        literal = f"{literal[:_I64_DIGITS]}… ({len(literal.lstrip('-'))} digits)"
+    return f"integer out of 64-bit signed range: {literal}"
 
 
 def _per_field(table: dict, schema: RecordSchema, form: str) -> tuple:
@@ -167,7 +179,7 @@ def p_int() -> Parser:
         if not _INT_RE.fullmatch(lex) or lex == "-0":
             raise ParseError(f"not a canonical integer: {lex!r}", pos)
         if len(lex) > _I64_DIGITS or not I64_MIN <= (v := int(lex)) <= I64_MAX:
-            raise ParseError(f"integer out of 64-bit signed range: {lex}", pos)
+            raise ParseError(_out_of_range(lex), pos)
         return v, pos + 1
 
     return run
@@ -372,7 +384,7 @@ def _scan_value(text: str, i: int):
         if tok == "-0":
             raise MalformedJsonError(f"non-canonical integer -0 at offset {i}")
         if len(tok) > _I64_DIGITS or not I64_MIN <= (v := int(tok)) <= I64_MAX:
-            raise MalformedJsonError(f"integer out of 64-bit signed range: {tok}")
+            raise MalformedJsonError(_out_of_range(tok))
         return v, m.end()
     raise MalformedJsonError(f"unrecognized value at offset {i}")
 
@@ -406,17 +418,45 @@ def _scan_named(text: str) -> dict:
     return pairs
 
 
+#: The stdlib C decoder; an object decodes to its (key, value) pairs in order.
+_DECODER = json.JSONDecoder(object_pairs_hook=list)
+#: to_named's spelling of a value of each exact type a field holds; no other
+#: decoded value (null, an array, an object) has one.
+_SPELLINGS = {bool: lambda v: "true" if v else "false", int: str,
+              str: encode_basestring, float: repr}
+
+
+def _named_pairs(text: str) -> dict:
+    """``text``'s pairs: from the C decoder if it is a flat object of unique
+    keys, each pair spelled as to_named spells it; else from the scanner."""
+    if text[:1] != "{":
+        return _scan_named(text)
+    try:
+        pairs, _ = _DECODER.raw_decode(text)
+    except (ValueError, RecursionError):  # the C decoder recurses per nesting level
+        return _scan_named(text)
+    spelled = []
+    for k, v in pairs:
+        if type(v) not in _SPELLINGS or type(v) is int and not I64_MIN <= v <= I64_MAX:
+            return _scan_named(text)
+        spelled.append(encode_basestring(k) + ":" + _SPELLINGS[type(v)](v))
+    named = dict(pairs)
+    if len(named) != len(pairs) or "{" + ",".join(spelled) + "}" != text:
+        return _scan_named(text)
+    return named
+
+
 def _wire_names(schema: RecordSchema) -> frozenset:
     return frozenset(f.name for f in schema.fields)
 
 
 def from_named(text: str, schema: RecordSchema):
     """Rebuild a record by name; key order is free, extras are rejected."""
-    pairs = _scan_named(text)
+    pairs = _named_pairs(text)
     extra = pairs.keys() - _staged(schema, _wire_names)
     if extra:
         raise ExtraKeyError(f"unexpected key(s): {', '.join(sorted(extra))}")
-    b = Builder(schema)
+    values = []  # no Builder: kinds, ranges and arity are all checked already
     for f in schema.fields:
         if f.name not in pairs:
             raise MissingKeyError(f"missing key {f.name!r}")
@@ -425,5 +465,5 @@ def from_named(text: str, schema: RecordSchema):
             raise WrongValueKindError(
                 f"key {f.name!r} expects {f.kind.value}, got {kind_of(v).value}"
             )
-        b = apply_field(b, v)
-    return finish(b)
+        values.append(v)
+    return schema.ctor(*values)

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -107,6 +108,8 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
             id="to-json-5000-digits",
         ),
         pytest.param(["parse", "--type", "device"], "False " + "9" * 5000 + " 1\n", id="parse-5000-digits"),
+        # Nesting deeper than the interpreter's recursion limit.
+        pytest.param(["to-json", "--type", "device"], '{"block":' + "[" * 100_000 + "\n", id="to-json-deep-brackets"),
         # A raw control character in a string lexeme or a JSON string.
         pytest.param(["parse", "--type", "benchmark"], "1 a\tb 2 c\n", id="parse-raw-tab"),
         pytest.param(
@@ -131,6 +134,7 @@ def test_domain_errors_exit_1(monkeypatch, capsys, argv, stdin_text):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1  # one-line diagnostic
+    assert len(err) < 100  # over-long literals are cut short in the message
 
 
 # Per field kind: a sample value, its lexeme, and its binary image (None
@@ -195,6 +199,26 @@ def test_shell_round_trip(fixture, type_name):
         check=True,
     )
     assert decoded.stdout == payload
+
+
+@pytest.mark.parametrize(
+    "argv,fixture", [(["to-json", "--type", "device"], "device.json"), (["avg"], "benchmarks.jsonl")]
+)
+def test_closed_stdout_exits_1_without_traceback(argv, fixture):
+    """A reader that has already closed the pipe gets exit 1 and an empty
+    stderr, as with `recplug ... | head -c0`."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "recplug", *argv],
+            input=(FIXTURES / fixture).read_bytes(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def call_main(argv, stdin_text):

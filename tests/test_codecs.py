@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recplug.codecs import (
@@ -502,3 +502,67 @@ def test_staged_codecs_match_unstaged_reference(data, schema, text, stream, imag
         want = _outcome(reference, arg, schema)
         assert _outcome(staged, arg, schema) == want
         assert _outcome(staged, arg, schema) == want
+
+
+# ---------------------------------------------------------------------------
+# from_named's C-decoder front end against the scanner alone.
+
+# Values json.dumps spells, in and out of every field's kind.
+_json_near_values = st.one_of(
+    st.sampled_from([I64_MIN, I64_MAX, I64_MIN - 1, I64_MAX + 1, 2**64, 0, -1]),
+    st.floats(),  # NaN and Infinity included
+    st.text(st.one_of(st.characters(), st.sampled_from(["\ud800", "\udfff", "/", "\x1f", '"', "\\"])), max_size=6),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.booleans(), max_size=1),
+)
+# Spellings json.dumps never writes: non-canonical numbers, escapes the
+# encoder does not write, raw control characters and lone surrogates.
+_raw_near_values = st.sampled_from(
+    ["-0", "1.50", "1e5", "1E5", "-0.0", "01", "1.", "NaN", "-Infinity", "null", "[1]", "{}", "[" * 50]
+    + ['"\\/"', '"\\u0041"', '"\\u001F"', '"\\u001f"', '"a\tb"', '"\x00"', '"\ud800"', '"\\ud800"', "9" * 30, "1e400"]
+)
+
+
+# Values each field kind admits.
+_admitted = {Kind.BOOL: st.booleans(), Kind.INT: int64, Kind.STR: st.text(max_size=8), Kind.REAL: finite_reals}
+
+
+@st.composite
+def near_miss_lines(draw, schema):
+    """A JSON object line for ``schema`` in json.dumps spellings, with
+    ensure_ascii on or off, and at most one near miss: in a value, in the
+    separators, in the keys or at the line's end."""
+    miss = draw(st.sampled_from([None, "value", "separators", "drop", "repeat", "extra", "escaped", "end"]))
+    ensure_ascii = draw(st.booleans())
+    item_sep, key_sep = (", ", ": ") if miss == "separators" else (",", ":")
+
+    def spell(v):
+        return json.dumps(v, ensure_ascii=ensure_ascii, separators=(item_sep, key_sep))
+
+    pairs = [[spell(f.name), spell(draw(_admitted[f.kind]))] for f in draw(st.permutations(schema.fields))]
+    if miss == "value":
+        pairs[draw(st.sampled_from(range(len(pairs))))][1] = draw(
+            st.one_of(_json_near_values.map(spell), _raw_near_values)
+        )
+    elif miss == "drop":
+        pairs.pop()
+    elif miss == "repeat":
+        pairs.append(list(pairs[0]))
+    elif miss == "extra":
+        pairs.append([spell("x"), spell(draw(_json_near_values))])
+    elif miss == "escaped":
+        name = json.loads(pairs[0][0])
+        pairs[0][0] = '"\\u%04x%s"' % (ord(name[0]), name[1:])
+    end = draw(st.sampled_from(["\r", "\n", " "])) if miss == "end" else ""
+    return "{" + item_sep.join(k + key_sep + v for k, v in pairs) + "}" + end
+
+
+@settings(max_examples=400)
+@given(st.data(), st.sampled_from(sorted(REGISTRY)).map(schema_for))
+def test_front_end_matches_scanner(data, schema):
+    """from_named gives ref_from_named's record, spelled the same by repr
+    (so -0.0 stays -0.0), or its error class and message, on every line."""
+    text = data.draw(near_miss_lines(schema))
+    got, want = _outcome(from_named, text, schema), _outcome(ref_from_named, text, schema)
+    assert repr(got) == repr(want)
