@@ -1,8 +1,10 @@
 """Command-line front end: pipeline demos and codecs over stdin/stdout.
 
 Records cross the process boundary as one flat JSON object per line;
-binary images cross as lowercase hex.  Exit codes: 0 success, 1 domain
-error (one-line diagnostic on stderr) or closed stdout, 2 usage error.
+binary images cross as lowercase hex.  A line ends at "\n" or "\r\n".  The
+console script reads stdin and writes stdout as strict UTF-8 whatever the
+locale.  Exit codes: 0 success, 1 domain error or undecodable stdin
+(one-line diagnostic on stderr) or closed stdout, 2 usage error.
 """
 
 import argparse
@@ -16,10 +18,11 @@ from .records import EXAMPLE_DEVICE, Kind, RecordSchema, list_fields, schema_for
 
 _AVGS_SCHEMA = schema_for("benchmark_avg")
 _HEX_IMAGE = re.compile(r"(?:[0-9a-f]{2})*")
+_LINE_END = re.compile(r"\r?\n")
 
 
 def _read_line(stdin) -> str:
-    return stdin.readline().rstrip("\n")
+    return _LINE_END.split(stdin.readline(), 1)[0]
 
 
 def _read_record(stdin, schema: RecordSchema):
@@ -79,7 +82,7 @@ def _remap_demo(args, stdin, stdout) -> None:
 
 def _avg(args, stdin, stdout) -> None:
     schema = schema_for("benchmark")
-    lines = stdin.read().split("\n")
+    lines = _LINE_END.split(stdin.read())
     if lines and lines[-1] == "":
         lines.pop()
     outputs = [codecs.from_named(line, schema) for line in lines]
@@ -149,10 +152,16 @@ def main(argv=None) -> int:
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: stdin is not UTF-8: {exc.reason}", file=sys.stderr)
+        return 1
     return 0
 
 
 def console_main() -> None:
+    for stream in (sys.stdin, sys.stdout):
+        if stream is not None:  # None when the descriptor is closed
+            stream.reconfigure(encoding="utf-8", errors="strict")
     try:
         code = main()
         sys.stdout.flush()

@@ -8,12 +8,15 @@ of primitive parsers over a cursor.  A parser maps ``(src, pos)`` to a
 ``(value, cursor)`` pair or raises its typed CodecError.  Chains and
 pipelines depend on the schema alone, so each is staged on first use into
 the schema's ``codec_plan``, and every later call runs that same value.
+Each per-field check tests the field's exact type (``schema.types``) and
+runs ``kind_of`` only on a miss; one table keyed by kind spells JSON values.
 
 Wire formats, bit-exact:
   bool   1 byte, 0x00/0x01
   int    8 bytes, little-endian two's complement
   str    4-byte little-endian length, then UTF-8 bytes
-Floats have no binary form (averages are display-only).  The JSON subset
+Floats have no binary form (averages are display-only), nor has a string
+with no UTF-8 image (a lone surrogate).  The JSON subset
 is a flat object, keys in schema order on output, no whitespace, strings
 escaped exactly as ``json.dumps(..., ensure_ascii=False)`` escapes them:
 ``\\"`` and ``\\\\``, ``\\b \\f \\n \\r \\t``, and ``\\u00xx`` (lowercase hex) for
@@ -50,6 +53,7 @@ from .pipelines import show_pipeline
 from .records import (
     I64_MAX,
     I64_MIN,
+    TYPE_OF,
     Builder,
     FieldSpec,
     Kind,
@@ -94,8 +98,11 @@ def _staged(schema: RecordSchema, stage: Callable):
     return staged
 
 
-def _checked(spec: FieldSpec, v):
-    """``v``, checked to be an in-range value of the field's kind."""
+def _checked(spec: FieldSpec, t: type, v):
+    """``v``, checked to be an in-range value of the field's kind, whose
+    exact type is ``t``; only a value of another type runs ``kind_of``."""
+    if type(v) is t and (t is not int or I64_MIN <= v <= I64_MAX):
+        return v
     got = kind_of(v)
     if got is not spec.kind:
         raise WrongValueKindError(
@@ -234,7 +241,12 @@ def parse_record(stream: Sequence[str], schema: RecordSchema):
 
 
 def _e_str(v) -> bytes:
-    raw = v.encode("utf-8")
+    try:
+        raw = v.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CodecError(
+            f"string has no UTF-8 image: {exc.reason} at index {exc.start}"
+        ) from None
     if len(raw) > 0xFFFFFFFF:
         raise CodecError(f"string of {len(raw)} bytes too long for a 4-byte length")
     return struct.pack("<I", len(raw)) + raw
@@ -247,13 +259,14 @@ _BINARY_ENCODERS = {
 }
 
 
-def _bin_chunk(spec: FieldSpec, encode):
-    return lambda v: encode(_checked(spec, v))
+def _bin_chunk(spec: FieldSpec, t: type, encode):
+    return lambda v: encode(_checked(spec, t, v))
 
 
 def _binary_show(schema: RecordSchema):
     encoders = _per_field(_BINARY_ENCODERS, schema, "binary")
-    return show_pipeline(schema.destruct, map(_bin_chunk, schema.fields, encoders))
+    chunks = map(_bin_chunk, schema.fields, schema.types, encoders)
+    return show_pipeline(schema.destruct, chunks)
 
 
 def encode_binary(record, schema: RecordSchema) -> bytes:
@@ -307,25 +320,24 @@ def decode_binary(image: bytes, schema: RecordSchema):
 # Named-field track (flat JSON subset)
 
 
-def _json_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        return encode_basestring(v)
-    if v != v or v in (float("inf"), float("-inf")):
+def _json_real(v: float) -> str:
+    if not math.isfinite(v):
         raise CodecError("non-finite reals have no JSON form")
     return repr(v)  # shortest round-trip decimal, always with '.' or exponent
 
 
-def _named_pair(spec: FieldSpec):
-    key = encode_basestring(spec.name) + ":"
-    return lambda v: key + _json_value(_checked(spec, v))
+#: to_named's spelling of a value of each kind.
+_SPELLINGS = {Kind.BOOL: lambda v: "true" if v else "false", Kind.INT: str,
+              Kind.STR: encode_basestring, Kind.REAL: _json_real}
+
+
+def _named_pair(spec: FieldSpec, t: type):
+    key, spell = encode_basestring(spec.name) + ":", _SPELLINGS[spec.kind]
+    return lambda v: key + spell(_checked(spec, t, v))
 
 
 def _named_show(schema: RecordSchema):
-    return show_pipeline(schema.destruct, map(_named_pair, schema.fields))
+    return show_pipeline(schema.destruct, map(_named_pair, schema.fields, schema.types))
 
 
 def to_named(record, schema: RecordSchema) -> str:
@@ -420,10 +432,9 @@ def _scan_named(text: str) -> dict:
 
 #: The stdlib C decoder; an object decodes to its (key, value) pairs in order.
 _DECODER = json.JSONDecoder(object_pairs_hook=list)
-#: to_named's spelling of a value of each exact type a field holds; no other
-#: decoded value (null, an array, an object) has one.
-_SPELLINGS = {bool: lambda v: "true" if v else "false", int: str,
-              str: encode_basestring, float: repr}
+#: _SPELLINGS by the exact type of a kind's values; no other decoded value
+#: (null, an array, an object) has a spelling.
+_SPELLINGS_BY_TYPE = {TYPE_OF[k]: spell for k, spell in _SPELLINGS.items()}
 
 
 def _named_pairs(text: str) -> dict:
@@ -437,9 +448,12 @@ def _named_pairs(text: str) -> dict:
         return _scan_named(text)
     spelled = []
     for k, v in pairs:
-        if type(v) not in _SPELLINGS or type(v) is int and not I64_MIN <= v <= I64_MAX:
+        t = type(v)
+        spell = _SPELLINGS_BY_TYPE.get(t)
+        if (spell is None or t is int and not I64_MIN <= v <= I64_MAX
+                or t is float and not math.isfinite(v)):  # NaN, Infinity, 1e400
             return _scan_named(text)
-        spelled.append(encode_basestring(k) + ":" + _SPELLINGS[type(v)](v))
+        spelled.append(encode_basestring(k) + ":" + spell(v))
     named = dict(pairs)
     if len(named) != len(pairs) or "{" + ",".join(spelled) + "}" != text:
         return _scan_named(text)
@@ -457,11 +471,11 @@ def from_named(text: str, schema: RecordSchema):
     if extra:
         raise ExtraKeyError(f"unexpected key(s): {', '.join(sorted(extra))}")
     values = []  # no Builder: kinds, ranges and arity are all checked already
-    for f in schema.fields:
+    for f, t in zip(schema.fields, schema.types):
         if f.name not in pairs:
             raise MissingKeyError(f"missing key {f.name!r}")
         v = pairs[f.name]
-        if kind_of(v) is not f.kind:
+        if type(v) is not t and kind_of(v) is not f.kind:
             raise WrongValueKindError(
                 f"key {f.name!r} expects {f.kind.value}, got {kind_of(v).value}"
             )

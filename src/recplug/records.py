@@ -3,7 +3,10 @@
 A record's fields travel as a *field list*: nested pairs terminated by the
 empty tuple, ``(b, (x, (y, ())))``.  A :class:`Builder` is the staged
 counterpart of a record constructor: it accepts fields one at a time and
-yields the record after exactly arity applications.
+yields the record after exactly arity applications.  A schema derives each
+field's exact type once, so a step checks a plain value with one ``type(v)
+is t`` test (and an inline i64 range test for an int); any other value, such
+as a subclass instance, takes the ``kind_of`` path, which gives every error.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ def kind_of(v: Value) -> Kind:
     if isinstance(v, float):
         return Kind.REAL
     raise FieldTypeError(f"not a field value: {v!r}")
+
+
+#: The exact type of each kind's plain values.
+TYPE_OF = {Kind.BOOL: bool, Kind.INT: int, Kind.STR: str, Kind.REAL: float}
 
 
 def check_int_range(v: int) -> int:
@@ -137,6 +144,11 @@ class RecordSchema:
     fields: tuple[FieldSpec, ...]
     #: The codecs staged from this schema by ``codecs``; not part of its value.
     codec_plan: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+    #: Each field's exact type, derived from its kind; not part of its value.
+    types: tuple = field(init=False, compare=False, hash=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "types", tuple(TYPE_OF[f.kind] for f in self.fields))
 
     @property
     def arity(self) -> int:
@@ -260,22 +272,21 @@ def builder_new(type_id: str) -> Builder:
 
 def apply_field(b: Builder, v: Value) -> Builder:
     schema, done = b.schema, b._count
-    if done >= len(schema.fields):
-        raise ArityError(
-            "apply_field",
-            0,
-            f"apply_field: {schema.type_id} builder already has all"
-            f" {schema.arity} fields",
-        )
-    want = schema.fields[done]
-    got = kind_of(v)
-    if got is not want.kind:
-        raise FieldTypeError(
-            f"field {want.name!r} of {schema.type_id} expects"
-            f" {want.kind.value}, got {got.value} ({v!r})"
-        )
-    if got is Kind.INT:
-        check_int_range(v)
+    try:
+        t = schema.types[done]
+    except IndexError:
+        raise ArityError("apply_field", 0, f"apply_field: {schema.type_id} builder"
+                         f" already has all {schema.arity} fields") from None
+    if type(v) is not t or t is int and not I64_MIN <= v <= I64_MAX:
+        want = schema.fields[done]
+        got = kind_of(v)
+        if got is not want.kind:
+            raise FieldTypeError(
+                f"field {want.name!r} of {schema.type_id} expects"
+                f" {want.kind.value}, got {got.value} ({v!r})"
+            )
+        if got is Kind.INT:
+            check_int_range(v)
     grown = object.__new__(Builder)
     grown.schema, grown._count, grown._cells = schema, done + 1, (v, b._cells)
     return grown

@@ -1,17 +1,20 @@
-"""Seeded random record generators shared by the test modules."""
+"""Seeded random record generators, off-fast-path field values and the
+reference implementations shared by the test modules."""
 
 import dataclasses
 import operator
 import struct
 from contextlib import contextmanager
+from enum import IntEnum
+from json.encoder import encode_basestring
+
+from hypothesis import strategies as st
 
 from recplug.codecs import (
     _b_bool,
     _b_int,
     _b_str,
-    _bin_chunk,
     _e_str,
-    _named_pair,
     _scan_named,
     p_ap,
     p_bool,
@@ -34,6 +37,8 @@ from recplug.errors import (
 )
 from recplug.pipelines import show_pipeline
 from recplug.records import (
+    I64_MAX,
+    I64_MIN,
     REGISTRY,
     Benchmark,
     Builder,
@@ -117,6 +122,37 @@ def random_wide(rng, schema):
         Kind.STR: lambda: "".join(rng.choices("abcxyz\"\\é中", k=rng.randint(0, 6))),
     }
     return schema.ctor(*(gen[f.kind]() for f in schema.fields))
+
+
+# ---------------------------------------------------------------------------
+# Field values of a kind whose exact type is not the kind's plain type: each
+# misses the exact-type fast path of a per-field check and takes kind_of's.
+
+
+class SubInt(int):
+    pass
+
+
+class SubStr(str):
+    pass
+
+
+class SubReal(float):
+    pass
+
+
+class Level(IntEnum):
+    LOW = -1
+    HIGH = 2**62
+
+
+subclass_values = st.one_of(
+    st.integers(-3, 3).map(SubInt),
+    st.sampled_from([I64_MIN - 1, I64_MAX + 1]).map(SubInt),
+    st.text(max_size=3).map(SubStr),
+    st.floats(allow_nan=False).map(SubReal),
+    st.sampled_from(Level),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +319,9 @@ def ref_scan_string(text: str, i: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Reference codecs, unstaged: every call builds its primitive table, its
 # applicative chain and its show pipeline afresh, the form the per-schema
-# codec plan replaced.
+# codec plan replaced.  Every field value is checked with the isinstance
+# kind_of and spelled by an isinstance chain, the forms the exact-type fast
+# path and the by-kind spelling table replaced.
 
 
 def _ref_per_field(table, schema, form):
@@ -318,16 +356,41 @@ def ref_decode_binary(image, schema):
     return finish(built)
 
 
+def _ref_checked(spec, v):
+    got = kind_of(v)
+    if got is not spec.kind:
+        raise WrongValueKindError(f"field {spec.name!r} expects {spec.kind.value}, got {got.value}")
+    if got is Kind.INT:
+        check_int_range(v)
+    return v
+
+
+def _ref_json_value(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        return encode_basestring(v)
+    if v != v or v in (float("inf"), float("-inf")):
+        raise CodecError("non-finite reals have no JSON form")
+    return repr(v)
+
+
 def ref_encode_binary(record, schema):
     table = {Kind.BOOL: struct.Struct("<?").pack, Kind.INT: struct.Struct("<q").pack, Kind.STR: _e_str}
     encoders = _ref_per_field(table, schema, "binary")
-    pipeline = show_pipeline(schema.destruct, map(_bin_chunk, schema.fields, encoders))
-    chunks, _ = pipeline(record)
+    steps = [lambda v, f=f, e=e: e(_ref_checked(f, v)) for f, e in zip(schema.fields, encoders)]
+    chunks, _ = show_pipeline(schema.destruct, steps)(record)
     return b"".join(reversed(list_fields(chunks)))
 
 
 def ref_to_named(record, schema):
-    pairs, _ = show_pipeline(schema.destruct, map(_named_pair, schema.fields))(record)
+    steps = [
+        lambda v, f=f: encode_basestring(f.name) + ":" + _ref_json_value(_ref_checked(f, v))
+        for f in schema.fields
+    ]
+    pairs, _ = show_pipeline(schema.destruct, steps)(record)
     return "{" + ",".join(reversed(list_fields(pairs))) + "}"
 
 

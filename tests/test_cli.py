@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from recplug.cli import main
 from recplug.codecs import encode_binary, from_named
+from recplug.errors import CodecError
 from recplug.records import BENCHMARK_SCHEMA, REGISTRY, Benchmark, Kind
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -72,6 +73,15 @@ def test_golden_output(monkeypatch, capsys, golden, argv, fixture):
     assert err == ""
 
 
+@pytest.mark.parametrize("golden,argv,fixture", [case for case in GOLDEN_CASES if case[2]])
+def test_crlf_line_ends_give_the_golden(monkeypatch, capsys, golden, argv, fixture):
+    """One '\r' before each line's '\n' is part of the line end."""
+    stdin_text = (FIXTURES / fixture).read_text().replace("\n", "\r\n")
+    code, out, err = run_cli(monkeypatch, capsys, argv, stdin_text)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDENS / golden).read_bytes()
+
+
 def test_usage_errors_exit_2(monkeypatch, capsys):
     assert run_cli(monkeypatch, capsys, ["bogus"])[0] == 2
     assert run_cli(monkeypatch, capsys, ["show"])[0] == 2
@@ -126,6 +136,10 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
             "0A00000000000000010000006114000000000000000100000062\n",
             id="hex-uppercase",
         ),
+        # Only one '\r', and only before a '\n', belongs to the line end.
+        pytest.param(["to-json", "--type", "device"], '{"block":false,"major":19,"minor":1}\r', id="cr-at-eof"),
+        pytest.param(["to-json", "--type", "device"], '{"block":false,"major":19,"minor":1}\r\r\n', id="cr-cr-lf"),
+        pytest.param(["avg"], '{"firstApp":1,"firstLog":"a","secondApp":2,"secondLog":"b"}\r\r\n', id="avg-cr-cr-lf"),
     ],
 )
 def test_domain_errors_exit_1(monkeypatch, capsys, argv, stdin_text):
@@ -229,7 +243,11 @@ def call_main(argv, stdin_text):
     return code, out.getvalue(), err.getvalue()
 
 
-@given(st.text(st.one_of(st.characters(max_codepoint=0x1F), st.characters()), max_size=16))
+# Text rich in control characters; every string has a UTF-8 image.
+utf8_text = st.text(st.one_of(st.characters(max_codepoint=0x1F), st.characters(codec="utf-8")), max_size=16)
+
+
+@given(utf8_text)
 def test_decode_bin_then_from_json_keeps_one_line(log):
     """A string field holding control characters leaves decode-bin as one
     line, and from-json reads that line back to the same record."""
@@ -240,3 +258,41 @@ def test_decode_bin_then_from_json_keeps_one_line(log):
     code, out, err = call_main(["from-json", "--type", "benchmark"], line)
     assert (code, out, err) == (0, line, "")
     assert from_named(out.rstrip("\n"), BENCHMARK_SCHEMA) == record
+
+
+def test_lone_surrogate_has_no_binary_image():
+    """A string with no UTF-8 image is a typed error, in process and at the
+    CLI (from-json admits a raw lone surrogate; the binary form cannot)."""
+    with pytest.raises(CodecError, match="no UTF-8 image"):
+        encode_binary(Benchmark(1, "a\ud800", 2, "b"), BENCHMARK_SCHEMA)
+    line = '{"firstApp":1,"firstLog":"a\ud800","secondApp":2,"secondLog":"b"}\n'
+    code, out, err = call_main(["encode-bin", "--type", "benchmark"], line)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _benchmark_line(log: bytes) -> bytes:
+    return b'{"firstApp":1,"firstLog":"' + log + b'","secondApp":2,"secondLog":"b"}\n'
+
+
+@pytest.mark.parametrize(
+    "env", [{}, {"LC_ALL": "C"}, {"PYTHONIOENCODING": "latin-1"}], ids=["inherited", "C", "latin-1"]
+)
+def test_stdio_is_strict_utf8_whatever_the_locale(env):
+    """Invalid UTF-8 on stdin exits 1 with one error line and no output;
+    non-ASCII text leaves stdout as the same UTF-8 bytes."""
+
+    def run(argv, stdin):
+        return subprocess.run(
+            [sys.executable, "-m", "recplug", *argv],
+            input=stdin,
+            capture_output=True,
+            env={**os.environ, **env},
+        )
+
+    for argv in (["encode-bin", "--type", "benchmark"], ["avg"]):
+        proc = run(argv, _benchmark_line(b"a\xff"))
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+    line = _benchmark_line("é中𝄞".encode())
+    assert run(["to-json", "--type", "benchmark"], line).stdout == line

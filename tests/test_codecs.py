@@ -53,6 +53,10 @@ from recplug.records import (
 )
 
 from support import (
+    Level,
+    SubInt,
+    SubReal,
+    SubStr,
     random_device,
     ref_decode_binary,
     ref_encode_binary,
@@ -60,6 +64,7 @@ from support import (
     ref_parse_record,
     ref_scan_string,
     ref_to_named,
+    subclass_values,
 )
 
 DEVICE = schema_for("device")
@@ -435,11 +440,12 @@ def test_scan_string_matches_reference(body, prefix):
 
 field_values = {
     Kind.BOOL: st.booleans(),
-    Kind.INT: st.one_of(int64, st.integers()),
+    Kind.INT: st.one_of(int64, st.integers(), st.sampled_from([I64_MIN - 1, I64_MAX + 1])),
     Kind.STR: st.text(max_size=8),
     Kind.REAL: st.floats(),
 }
-any_value = st.one_of(*field_values.values())
+# Subclass values and IntEnum members take the kind_of path of _checked.
+any_value = st.one_of(*field_values.values(), subclass_values)
 
 
 def _throwaway(kinds):
@@ -504,6 +510,29 @@ def test_staged_codecs_match_unstaged_reference(data, schema, text, stream, imag
         assert _outcome(staged, arg, schema) == want
 
 
+# Per kind: values that miss _checked's exact-type test, in and out of kind.
+off_fast_path = {
+    Kind.BOOL: st.integers(0, 1),
+    Kind.INT: st.one_of(
+        st.sampled_from([I64_MIN - 1, I64_MAX + 1, *Level]),
+        st.booleans(),
+        st.sampled_from([I64_MIN - 1, -1, I64_MAX + 1]).map(SubInt),
+    ),
+    Kind.STR: st.text(max_size=3).map(SubStr),
+    Kind.REAL: st.floats().map(SubReal),
+}
+
+
+@given(st.data(), schemas)
+def test_encoders_match_reference_off_the_fast_path(data, schema):
+    """Every field holds a value of its kind or one that misses the
+    exact-type test; the encoders give the reference's output or error."""
+    values = [data.draw(st.one_of(field_values[f.kind], off_fast_path[f.kind])) for f in schema.fields]
+    record = schema.ctor(*values)
+    for staged, reference in ((to_named, ref_to_named), (encode_binary, ref_encode_binary)):
+        assert _outcome(staged, record, schema) == _outcome(reference, record, schema)
+
+
 # ---------------------------------------------------------------------------
 # from_named's C-decoder front end against the scanner alone.
 
@@ -556,6 +585,21 @@ def near_miss_lines(draw, schema):
         pairs[0][0] = '"\\u%04x%s"' % (ord(name[0]), name[1:])
     end = draw(st.sampled_from(["\r", "\n", " "])) if miss == "end" else ""
     return "{" + item_sep.join(k + key_sep + v for k, v in pairs) + "}" + end
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+@pytest.mark.parametrize("type_id", sorted(REGISTRY))
+def test_non_finite_reals_fall_back_to_the_scanner(type_id, literal):
+    """The C decoder reads these literals as non-finite floats; the front end
+    hands the line to the scanner, which rejects it, in every field."""
+    schema = schema_for(type_id)
+    admitted = {Kind.BOOL: "true", Kind.INT: "1", Kind.STR: '"a"', Kind.REAL: "2.5"}
+    for i in range(schema.arity):
+        spelled = [admitted[f.kind] for f in schema.fields]
+        spelled[i] = literal
+        text = "{" + ",".join(f'"{f.name}":{v}' for f, v in zip(schema.fields, spelled)) + "}"
+        got, want = _outcome(from_named, text, schema), _outcome(ref_from_named, text, schema)
+        assert got == want and want[0] is MalformedJsonError
 
 
 @settings(max_examples=400)

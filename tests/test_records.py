@@ -17,7 +17,9 @@ from recplug.records import (
     Benchmark,
     Builder,
     Device,
+    FieldSpec,
     Kind,
+    RecordSchema,
     apply_field,
     builder_new,
     cons,
@@ -32,7 +34,7 @@ from recplug.records import (
     uncons,
 )
 
-from support import ref_apply_field, ref_finish
+from support import ref_apply_field, ref_finish, subclass_values
 
 int64 = st.integers(min_value=I64_MIN, max_value=I64_MAX)
 
@@ -205,6 +207,7 @@ builder_values = st.one_of(
     st.text(max_size=3),
     st.floats(allow_nan=False),
     st.none(),
+    subclass_values,
 )
 
 
@@ -226,6 +229,23 @@ def test_builder_matches_tuple_reference(type_id, values):
         b, ref = got[1], want[1]
     assert b.supplied == ref
     assert _outcome(finish, b) == _outcome(ref_finish, schema, ref)
+
+
+def test_positional_schema_derives_types():
+    """The derived types are no part of a schema's value: a positionally
+    built schema compares, hashes and prints by its four arguments alone."""
+    specs = tuple(FieldSpec(f"f{i}", k) for i, k in enumerate(Kind))
+    a, b = (RecordSchema("kinds", tuple, list_fields, specs) for _ in range(2))
+    assert a.types == (bool, int, str, float)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == (
+        f"RecordSchema(type_id='kinds', ctor={tuple!r}, destruct={list_fields!r}, fields={specs!r})"
+    )
+    assert a != RecordSchema("kinds", tuple, list_fields, specs[:2])
+    with pytest.raises(TypeError):
+        RecordSchema("kinds", tuple, list_fields, specs, {}, (int,) * 4)
+    for schema in REGISTRY.values():
+        assert len(schema.types) == schema.arity
 
 
 def test_builder_steps_share_their_prefix():
