@@ -3,11 +3,13 @@
 Records cross the process boundary as one flat JSON object per line;
 binary images cross as lowercase hex.  A line ends at "\n" or "\r\n".  The
 console script reads stdin and writes stdout as strict UTF-8 whatever the
-locale.  Exit codes: 0 success, 1 domain error or undecodable stdin
-(one-line diagnostic on stderr) or closed stdout, 2 usage error.
+locale; a closed stdin reads as empty input.  Exit codes: 0 success, 1
+domain error or undecodable stdin (one-line diagnostic on stderr) or closed
+stdout, 2 usage error.
 """
 
 import argparse
+import io
 import os
 import re
 import sys
@@ -16,7 +18,6 @@ from . import codecs, pipelines, records, scott
 from .errors import Error
 from .records import EXAMPLE_DEVICE, Kind, RecordSchema, list_fields, schema_for
 
-_AVGS_SCHEMA = schema_for("benchmark_avg")
 _HEX_IMAGE = re.compile(r"(?:[0-9a-f]{2})*")
 _LINE_END = re.compile(r"\r?\n")
 
@@ -63,7 +64,7 @@ def _map_demo(args, stdin, stdout) -> None:
         result = scott.run_map_cps(scott.map_device_demo_cps()(EXAMPLE_DEVICE))
     else:
         result = pipelines.run_map(pipelines.map_device_demo()(EXAMPLE_DEVICE))
-    print(codecs.to_named(result, schema_for("device")), file=stdout)
+    print(codecs.to_named(result, records.DEVICE_SCHEMA), file=stdout)
 
 
 def _zip_demo(args, stdin, stdout) -> None:
@@ -72,22 +73,21 @@ def _zip_demo(args, stdin, stdout) -> None:
         result = scott.run_zip_cps(scott.zip_device_demo_cps()(EXAMPLE_DEVICE, mapped))
     else:
         result = pipelines.run_zip(pipelines.zip_device_demo()(EXAMPLE_DEVICE, mapped))
-    print(codecs.to_named(result, schema_for("device")), file=stdout)
+    print(codecs.to_named(result, records.DEVICE_SCHEMA), file=stdout)
 
 
 def _remap_demo(args, stdin, stdout) -> None:
     result = pipelines.run_map(pipelines.remap_device_demo()(EXAMPLE_DEVICE))
-    print(codecs.to_named(result, schema_for("device")), file=stdout)
+    print(codecs.to_named(result, records.DEVICE_SCHEMA), file=stdout)
 
 
 def _avg(args, stdin, stdout) -> None:
-    schema = schema_for("benchmark")
     lines = _LINE_END.split(stdin.read())
     if lines and lines[-1] == "":
         lines.pop()
-    outputs = [codecs.from_named(line, schema) for line in lines]
+    outputs = [codecs.from_named(line, records.BENCHMARK_SCHEMA) for line in lines]
     result = pipelines.average(outputs)
-    print(codecs.to_named(result, _AVGS_SCHEMA), file=stdout)
+    print(codecs.to_named(result, records.AVGS_SCHEMA), file=stdout)
 
 
 def _encode_bin(args, stdin, stdout) -> None:
@@ -159,9 +159,12 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    if sys.stdout is None:  # descriptor 1 is closed: nothing can be written
+        raise SystemExit(1)
+    if sys.stdin is None:  # descriptor 0 is closed: it reads as empty input
+        sys.stdin = io.TextIOWrapper(io.BytesIO())
     for stream in (sys.stdin, sys.stdout):
-        if stream is not None:  # None when the descriptor is closed
-            stream.reconfigure(encoding="utf-8", errors="strict")
+        stream.reconfigure(encoding="utf-8", errors="strict")
     try:
         code = main()
         sys.stdout.flush()

@@ -8,8 +8,8 @@ of primitive parsers over a cursor.  A parser maps ``(src, pos)`` to a
 ``(value, cursor)`` pair or raises its typed CodecError.  Chains and
 pipelines depend on the schema alone, so each is staged on first use into
 the schema's ``codec_plan``, and every later call runs that same value.
-Each per-field check tests the field's exact type (``schema.types``) and
-runs ``kind_of`` only on a miss; one table keyed by kind spells JSON values.
+Each per-field check tests the field's exact type (``schema.types``); only
+a miss runs ``kind_of``, and a subclass value is copied to that type.
 
 Wire formats, bit-exact:
   bool   1 byte, 0x00/0x01
@@ -53,7 +53,7 @@ from .pipelines import show_pipeline
 from .records import (
     I64_MAX,
     I64_MIN,
-    TYPE_OF,
+    PLAIN_COPY,
     Builder,
     FieldSpec,
     Kind,
@@ -99,8 +99,8 @@ def _staged(schema: RecordSchema, stage: Callable):
 
 
 def _checked(spec: FieldSpec, t: type, v):
-    """``v``, checked to be an in-range value of the field's kind, whose
-    exact type is ``t``; only a value of another type runs ``kind_of``."""
+    """``v`` as an in-range value of the field's exact type ``t``; only a
+    value of another type runs ``kind_of``, and a subclass value is copied."""
     if type(v) is t and (t is not int or I64_MIN <= v <= I64_MAX):
         return v
     got = kind_of(v)
@@ -110,7 +110,7 @@ def _checked(spec: FieldSpec, t: type, v):
         )
     if got is Kind.INT:
         check_int_range(v)
-    return v
+    return PLAIN_COPY[t](v)
 
 
 def p_pure(v) -> Parser:
@@ -326,13 +326,14 @@ def _json_real(v: float) -> str:
     return repr(v)  # shortest round-trip decimal, always with '.' or exponent
 
 
-#: to_named's spelling of a value of each kind.
-_SPELLINGS = {Kind.BOOL: lambda v: "true" if v else "false", Kind.INT: str,
-              Kind.STR: encode_basestring, Kind.REAL: _json_real}
+#: to_named's spelling of a value of each exact type; no other decoded
+#: value (null, an array, an object) has a spelling.
+_SPELLINGS = {bool: lambda v: "true" if v else "false", int: str,
+              str: encode_basestring, float: _json_real}
 
 
 def _named_pair(spec: FieldSpec, t: type):
-    key, spell = encode_basestring(spec.name) + ":", _SPELLINGS[spec.kind]
+    key, spell = encode_basestring(spec.name) + ":", _SPELLINGS[t]
     return lambda v: key + spell(_checked(spec, t, v))
 
 
@@ -432,9 +433,6 @@ def _scan_named(text: str) -> dict:
 
 #: The stdlib C decoder; an object decodes to its (key, value) pairs in order.
 _DECODER = json.JSONDecoder(object_pairs_hook=list)
-#: _SPELLINGS by the exact type of a kind's values; no other decoded value
-#: (null, an array, an object) has a spelling.
-_SPELLINGS_BY_TYPE = {TYPE_OF[k]: spell for k, spell in _SPELLINGS.items()}
 
 
 def _named_pairs(text: str) -> dict:
@@ -449,7 +447,7 @@ def _named_pairs(text: str) -> dict:
     spelled = []
     for k, v in pairs:
         t = type(v)
-        spell = _SPELLINGS_BY_TYPE.get(t)
+        spell = _SPELLINGS.get(t)
         if (spell is None or t is int and not I64_MIN <= v <= I64_MAX
                 or t is float and not math.isfinite(v)):  # NaN, Infinity, 1e400
             return _scan_named(text)

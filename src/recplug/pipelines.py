@@ -13,6 +13,8 @@ from operator import add
 from .chop import Pipeline, and_then, chop, chop2, hom_wrap, hom_wrap0, hom_wrap2
 from .errors import ArityError, EmptyInputError
 from .records import (
+    PLAIN_COPY,
+    TYPE_OF,
     Benchmark,
     Builder,
     Value,
@@ -21,6 +23,7 @@ from .records import (
     destructure_device,
     field_count,
     finish,
+    kind_of,
     list_fields,
     schema_for,
 )
@@ -35,10 +38,12 @@ def _keep_left(a, _):
 
 
 def render_value(v: Value) -> str:
-    """Canonical lexeme for a field value: True/False, minimal decimal,
-    the string itself, shortest round-trip float."""
+    """Canonical lexeme for a field value, or a subclass value's plain copy:
+    True/False, minimal decimal, the string itself, shortest round-trip float."""
     if isinstance(v, bool):
         return "True" if v else "False"
+    if type(v) not in PLAIN_COPY:
+        v = PLAIN_COPY[TYPE_OF[kind_of(v)]](v)
     return str(v)
 
 

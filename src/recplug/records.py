@@ -48,6 +48,9 @@ def kind_of(v: Value) -> Kind:
 
 #: The exact type of each kind's plain values.
 TYPE_OF = {Kind.BOOL: bool, Kind.INT: int, Kind.STR: str, Kind.REAL: float}
+#: The base slot of each exact type that has subclasses (bool has none): it
+#: copies a subclass value to a plain one and runs none of its overrides.
+PLAIN_COPY = {int: int.__int__, str: str.__str__, float: float.__float__}
 
 
 def check_int_range(v: int) -> int:

@@ -215,24 +215,42 @@ def test_shell_round_trip(fixture, type_name):
     assert decoded.stdout == payload
 
 
+def _closing(redirect, argv, **kwargs):
+    """Run recplug with the shell redirection ``redirect`` (``>&-``, ``<&-``)."""
+    script = f'"$@" {redirect}'
+    return subprocess.run(["sh", "-c", script, "sh", sys.executable, "-m", "recplug", *argv], **kwargs)
+
+
 @pytest.mark.parametrize(
-    "argv,fixture", [(["to-json", "--type", "device"], "device.json"), (["avg"], "benchmarks.jsonl")]
+    "argv,fixture",
+    [
+        (["to-json", "--type", "device"], "device.json"),
+        (["avg"], "benchmarks.jsonl"),
+        (["map-demo"], "device.json"),
+    ],
 )
 def test_closed_stdout_exits_1_without_traceback(argv, fixture):
-    """A reader that has already closed the pipe gets exit 1 and an empty
-    stderr, as with `recplug ... | head -c0`."""
+    """A closed stdout gets exit 1 and an empty stderr, whether a reader has
+    already closed the pipe, as with `recplug ... | head -c0`, or the
+    descriptor is closed (`>&-`).  A closed stdin (`<&-`) reads as empty
+    input: the run gives what main gives with an empty stdin."""
+    stdin = (FIXTURES / fixture).read_bytes()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "recplug", *argv],
-            input=(FIXTURES / fixture).read_bytes(),
+            input=stdin,
             stdout=write_end,
             stderr=subprocess.PIPE,
         )
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+    proc = _closing(">&-", argv, input=stdin, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    proc = _closing("<&-", argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == call_main(argv, "")
 
 
 def call_main(argv, stdin_text):

@@ -175,3 +175,15 @@ def test_duplicate_id_raises(sensor):
         register("device", Sensor, SENSOR_KINDS)
     assert REGISTRY == before
     assert REGISTRY["sensor"] is sensor
+
+
+def test_package_exports_register_and_each_module_keeps_its_name():
+    """The package exports only ``register``; ``recplug.chop`` is the module,
+    not a function re-exported under the module's name."""
+    import recplug
+    import recplug.chop as chop_module
+    from recplug import register as exported
+
+    assert (recplug.__all__, exported) == (["register"], register)
+    assert chop_module.Pipeline.__module__ == "recplug.chop"
+    assert callable(chop_module.hom_wrap)
