@@ -1,4 +1,9 @@
-"""Command-line front end: pipeline demos and codecs over stdin/stdout.
+r"""Command-line front end: pipeline demos and codecs over stdin/stdout.
+
+Each command is one `_COMMANDS` row, and `main` is the only code that
+reads stdin or writes stdout.  A typed command decodes the first line of
+stdin into a record of its `--type` and encodes it in another wire form;
+`avg` averages the JSON records on every line, and the demos read none.
 
 Records cross the process boundary as one flat JSON object per line;
 binary images cross as lowercase hex.  A line ends at "\n" or "\r\n".  The
@@ -19,18 +24,33 @@ from .errors import Error
 from .records import EXAMPLE_DEVICE, Kind, RecordSchema, list_fields, schema_for
 
 _HEX_IMAGE = re.compile(r"(?:[0-9a-f]{2})*")
-_LINE_END = re.compile(r"\r?\n")
 
 
-def _read_line(stdin) -> str:
-    return _LINE_END.split(stdin.readline(), 1)[0]
+def _lines(stdin):
+    r"""Each line of stdin, read lazily, without its "\n" or "\r\n"."""
+    for line in stdin:
+        yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
 
 
-def _read_record(stdin, schema: RecordSchema):
-    return codecs.from_named(_read_line(stdin), schema)
+def _lexeme_record(line: str, schema: RecordSchema):
+    return codecs.parse_record(codecs.lexemes(line), schema)
 
 
-def _showable(record, schema: RecordSchema) -> None:
+def _hex_record(line: str, schema: RecordSchema):
+    if not _HEX_IMAGE.fullmatch(line):
+        raise Error(f"not a hex image: {line!r}")
+    return codecs.decode_binary(bytes.fromhex(line), schema)
+
+
+def _json_line(record, schema: RecordSchema, encoding) -> str:
+    return codecs.to_named(record, schema)
+
+
+def _hex_line(record, schema: RecordSchema, encoding) -> str:
+    return codecs.encode_binary(record, schema).hex()
+
+
+def _lexeme_line(record, schema: RecordSchema, encoding) -> str:
     # Lexemes are space-separated and lines end at a newline, so shown
     # strings must contain no space and no control character.
     for spec, value in zip(schema.fields, list_fields(schema.destruct(record))):
@@ -40,89 +60,48 @@ def _showable(record, schema: RecordSchema) -> None:
             raise Error(f"field {spec.name!r} contains a space, not showable")
         if codecs.CONTROL.search(value):
             raise Error(f"field {spec.name!r} contains a control character, not showable")
+    if encoding == "scott":
+        return scott.run_show_cps(scott.show_record_cps(schema.type_id)(record))
+    return pipelines.run_show(pipelines.show_record(schema.type_id)(record))
 
 
-def _show(args, stdin, stdout) -> None:
-    schema = schema_for(args.type)
-    record = _read_record(stdin, schema)
-    _showable(record, schema)
-    if args.encoding == "scott":
-        shown = scott.run_show_cps(scott.show_record_cps(args.type)(record))
-    else:
-        shown = pipelines.run_show(pipelines.show_record(args.type)(record))
-    print(shown, file=stdout)
+def _map_demo(lines, encoding):
+    if encoding == "scott":
+        return scott.run_map_cps(scott.map_device_demo_cps()(EXAMPLE_DEVICE))
+    return pipelines.run_map(pipelines.map_device_demo()(EXAMPLE_DEVICE))
 
 
-def _parse(args, stdin, stdout) -> None:
-    schema = schema_for(args.type)
-    record = codecs.parse_record(codecs.lexemes(_read_line(stdin)), schema)
-    print(codecs.to_named(record, schema), file=stdout)
-
-
-def _map_demo(args, stdin, stdout) -> None:
-    if args.encoding == "scott":
-        result = scott.run_map_cps(scott.map_device_demo_cps()(EXAMPLE_DEVICE))
-    else:
-        result = pipelines.run_map(pipelines.map_device_demo()(EXAMPLE_DEVICE))
-    print(codecs.to_named(result, records.DEVICE_SCHEMA), file=stdout)
-
-
-def _zip_demo(args, stdin, stdout) -> None:
+def _zip_demo(lines, encoding):
     mapped = pipelines.run_map(pipelines.map_device_demo()(EXAMPLE_DEVICE))
-    if args.encoding == "scott":
-        result = scott.run_zip_cps(scott.zip_device_demo_cps()(EXAMPLE_DEVICE, mapped))
-    else:
-        result = pipelines.run_zip(pipelines.zip_device_demo()(EXAMPLE_DEVICE, mapped))
-    print(codecs.to_named(result, records.DEVICE_SCHEMA), file=stdout)
+    if encoding == "scott":
+        return scott.run_zip_cps(scott.zip_device_demo_cps()(EXAMPLE_DEVICE, mapped))
+    return pipelines.run_zip(pipelines.zip_device_demo()(EXAMPLE_DEVICE, mapped))
 
 
-def _remap_demo(args, stdin, stdout) -> None:
-    result = pipelines.run_map(pipelines.remap_device_demo()(EXAMPLE_DEVICE))
-    print(codecs.to_named(result, records.DEVICE_SCHEMA), file=stdout)
+def _remap_demo(lines, encoding):
+    return pipelines.run_map(pipelines.remap_device_demo()(EXAMPLE_DEVICE))
 
 
-def _avg(args, stdin, stdout) -> None:
-    lines = _LINE_END.split(stdin.read())
-    if lines and lines[-1] == "":
-        lines.pop()
-    outputs = [codecs.from_named(line, records.BENCHMARK_SCHEMA) for line in lines]
-    result = pipelines.average(outputs)
-    print(codecs.to_named(result, records.AVGS_SCHEMA), file=stdout)
+def _avg(lines, encoding):
+    return pipelines.average([codecs.from_named(line, records.BENCHMARK_SCHEMA) for line in lines])
 
 
-def _encode_bin(args, stdin, stdout) -> None:
-    schema = schema_for(args.type)
-    record = _read_record(stdin, schema)
-    print(codecs.encode_binary(record, schema).hex(), file=stdout)
-
-
-def _decode_bin(args, stdin, stdout) -> None:
-    schema = schema_for(args.type)
-    line = _read_line(stdin)
-    if not _HEX_IMAGE.fullmatch(line):
-        raise Error(f"not a hex image: {line!r}")
-    record = codecs.decode_binary(bytes.fromhex(line), schema)
-    print(codecs.to_named(record, schema), file=stdout)
-
-
-def _named_bridge(args, stdin, stdout) -> None:
-    schema = schema_for(args.type)
-    record = _read_record(stdin, schema)
-    print(codecs.to_named(record, schema), file=stdout)
-
-
-# (command, help, handler, takes --type, takes --encoding)
+# (command, help, make, write, takes --encoding).  A typed command (it takes
+# --type) makes its record with a line decoder, (line, schema) -> record, and
+# writes it with an encoder, (record, schema, encoding) -> line.  Any other
+# makes it with a producer, (lines, encoding) -> record, of the schema that
+# `write` names, and writes it as JSON.
 _COMMANDS = (
-    ("show", "JSON record on stdin -> lexeme line", _show, True, True),
-    ("parse", "lexeme line on stdin -> JSON record", _parse, True, False),
-    ("map-demo", "run the fixed field-map pipeline", _map_demo, False, True),
-    ("zip-demo", "run the fixed two-record zip pipeline", _zip_demo, False, True),
-    ("remap-demo", "run the fixed stack-machine pipeline", _remap_demo, False, False),
-    ("avg", "JSON benchmarks on stdin -> averaged JSON", _avg, False, False),
-    ("encode-bin", "JSON record on stdin -> hex image", _encode_bin, True, False),
-    ("decode-bin", "hex image on stdin -> JSON record", _decode_bin, True, False),
-    ("to-json", "validate and canonicalize a JSON record", _named_bridge, True, False),
-    ("from-json", "validate and canonicalize a JSON record", _named_bridge, True, False),
+    ("show", "JSON record on stdin -> lexeme line", codecs.from_named, _lexeme_line, True),
+    ("parse", "lexeme line on stdin -> JSON record", _lexeme_record, _json_line, False),
+    ("map-demo", "run the fixed field-map pipeline", _map_demo, records.DEVICE_SCHEMA, True),
+    ("zip-demo", "run the fixed two-record zip pipeline", _zip_demo, records.DEVICE_SCHEMA, True),
+    ("remap-demo", "run the fixed stack-machine pipeline", _remap_demo, records.DEVICE_SCHEMA, False),
+    ("avg", "JSON benchmarks on stdin -> averaged JSON", _avg, records.AVGS_SCHEMA, False),
+    ("encode-bin", "JSON record on stdin -> hex image", codecs.from_named, _hex_line, False),
+    ("decode-bin", "hex image on stdin -> JSON record", _hex_record, _json_line, False),
+    ("to-json", "validate and canonicalize a JSON record", codecs.from_named, _json_line, False),
+    ("from-json", "validate and canonicalize a JSON record", codecs.from_named, _json_line, False),
 )
 
 
@@ -131,13 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="recplug", description="record pipeline demos and codecs"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, typed, tracked in _COMMANDS:
+    for name, help_text, make, write, tracked in _COMMANDS:
         sub = subs.add_parser(name, help=help_text)
-        if typed:
+        sub.set_defaults(make=make, write=write, encoding=None)
+        if not isinstance(write, RecordSchema):
             sub.add_argument("--type", required=True, choices=sorted(records.REGISTRY))
         if tracked:
             sub.add_argument("--encoding", default="lisp", choices=("lisp", "scott"))
-        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -147,14 +126,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    lines = _lines(sys.stdin)
     try:
-        args.handler(args, sys.stdin, sys.stdout)
+        if isinstance(args.write, RecordSchema):  # avg and the demos
+            text = codecs.to_named(args.make(lines, args.encoding), args.write)
+        else:
+            schema = schema_for(args.type)
+            text = args.write(args.make(next(lines, ""), schema), schema, args.encoding)
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:
         print(f"error: stdin is not UTF-8: {exc.reason}", file=sys.stderr)
         return 1
+    print(text)
     return 0
 
 

@@ -372,7 +372,7 @@ def _scan_string(text: str, i: int) -> tuple[str, int]:
             raise MalformedJsonError(f"unterminated escape at offset {j}")
         e = text[j + 1 : j + 6] if text[j + 1] == "u" else text[j + 1]
         if e not in _JSON_UNESCAPES:
-            raise MalformedJsonError(f"unsupported escape \\{e} at offset {j}")
+            raise MalformedJsonError(f"unsupported escape {text[j : j + 1 + len(e)]!r} at offset {j}")
         out.append(_JSON_UNESCAPES[e])
         i = j + 1 + len(e)
 
@@ -467,7 +467,7 @@ def from_named(text: str, schema: RecordSchema):
     pairs = _named_pairs(text)
     extra = pairs.keys() - _staged(schema, _wire_names)
     if extra:
-        raise ExtraKeyError(f"unexpected key(s): {', '.join(sorted(extra))}")
+        raise ExtraKeyError(f"unexpected key(s): {', '.join(map(repr, sorted(extra)))}")
     values = []  # no Builder: kinds, ranges and arity are all checked already
     for f, t in zip(schema.fields, schema.types):
         if f.name not in pairs:

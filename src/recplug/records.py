@@ -55,7 +55,7 @@ PLAIN_COPY = {int: int.__int__, str: str.__str__, float: float.__float__}
 
 def check_int_range(v: int) -> int:
     if not I64_MIN <= v <= I64_MAX:
-        raise IntOverflowError(f"integer out of 64-bit signed range: {v}")
+        raise IntOverflowError(f"integer out of 64-bit signed range: {int.__repr__(v)}")
     return v
 
 
@@ -286,7 +286,7 @@ def apply_field(b: Builder, v: Value) -> Builder:
         if got is not want.kind:
             raise FieldTypeError(
                 f"field {want.name!r} of {schema.type_id} expects"
-                f" {want.kind.value}, got {got.value} ({v!r})"
+                f" {want.kind.value}, got {got.value} ({TYPE_OF[got].__repr__(v)})"
             )
         if got is Kind.INT:
             check_int_range(v)

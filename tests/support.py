@@ -40,6 +40,7 @@ from recplug.records import (
     I64_MAX,
     I64_MIN,
     REGISTRY,
+    TYPE_OF,
     Benchmark,
     Builder,
     Device,
@@ -291,7 +292,7 @@ def ref_apply_field(schema, supplied: tuple, v) -> tuple:
     if got is not want.kind:
         raise FieldTypeError(
             f"field {want.name!r} of {schema.type_id} expects"
-            f" {want.kind.value}, got {got.value} ({v!r})"
+            f" {want.kind.value}, got {got.value} ({TYPE_OF[got].__repr__(v)})"
         )
     if got is Kind.INT:
         check_int_range(v)
@@ -333,7 +334,7 @@ def ref_scan_string(text: str, i: int) -> tuple:
                 raise MalformedJsonError(f"unterminated escape at offset {i}")
             e = text[i + 1 : i + 6] if text[i + 1] == "u" else text[i + 1]
             if e not in REF_ESCAPES:
-                raise MalformedJsonError(f"unsupported escape \\{e} at offset {i}")
+                raise MalformedJsonError(f"unsupported escape {text[i : i + 1 + len(e)]!r} at offset {i}")
             out.append(REF_ESCAPES[e])
             i += 1 + len(e)
         elif c < " ":
@@ -427,7 +428,7 @@ def ref_from_named(text, schema):
     pairs = _scan_named(text)
     extra = set(pairs) - {f.name for f in schema.fields}
     if extra:
-        raise ExtraKeyError(f"unexpected key(s): {', '.join(sorted(extra))}")
+        raise ExtraKeyError(f"unexpected key(s): {', '.join(map(repr, sorted(extra)))}")
     b = Builder(schema)
     for f in schema.fields:
         if f.name not in pairs:

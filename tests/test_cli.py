@@ -9,13 +9,14 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recplug import pipelines
 from recplug.cli import main
-from recplug.codecs import encode_binary, from_named
+from recplug.codecs import encode_binary, from_named, to_named
 from recplug.errors import CodecError
-from recplug.records import BENCHMARK_SCHEMA, REGISTRY, Benchmark, Kind
+from recplug.records import BENCHMARK_SCHEMA, I64_MAX, I64_MIN, REGISTRY, Benchmark, Kind
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -140,6 +141,8 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
         pytest.param(["to-json", "--type", "device"], '{"block":false,"major":19,"minor":1}\r', id="cr-at-eof"),
         pytest.param(["to-json", "--type", "device"], '{"block":false,"major":19,"minor":1}\r\r\n', id="cr-cr-lf"),
         pytest.param(["avg"], '{"firstApp":1,"firstLog":"a","secondApp":2,"secondLog":"b"}\r\r\n', id="avg-cr-cr-lf"),
+        # A key holding an escaped newline is shown as its repr, on one line.
+        pytest.param(["to-json", "--type", "device"], '{"a\\nb":1}\n', id="extra-key-newline"),
     ],
 )
 def test_domain_errors_exit_1(monkeypatch, capsys, argv, stdin_text):
@@ -262,7 +265,8 @@ def call_main(argv, stdin_text):
 
 
 # Text rich in control characters; every string has a UTF-8 image.
-utf8_text = st.text(st.one_of(st.characters(max_codepoint=0x1F), st.characters(codec="utf-8")), max_size=16)
+control_rich = st.one_of(st.characters(max_codepoint=0x1F), st.characters(codec="utf-8"))
+utf8_text = st.text(control_rich, max_size=16)
 
 
 @given(utf8_text)
@@ -314,3 +318,89 @@ def test_stdio_is_strict_utf8_whatever_the_locale(env):
         assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
     line = _benchmark_line("é中𝄞".encode())
     assert run(["to-json", "--type", "benchmark"], line).stdout == line
+
+
+@pytest.mark.parametrize("demo", ["map-demo", "zip-demo"])
+def test_demos_read_no_stdin(demo):
+    """A demo exits while its stdin pipe is still open: it never reads."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "recplug", demo], stdin=subprocess.PIPE, stdout=subprocess.PIPE
+    ) as proc:
+        assert proc.wait(timeout=10) == 0
+        assert proc.stdout.read() == (GOLDENS / f"{demo.replace('-', '_')}.golden").read_bytes()
+
+
+# Every command and --type, typed or not, at the process boundary.
+BOUNDARY_ARGVS = [[c, "--type", t] for c in TYPED_COMMANDS for t in sorted(REGISTRY)] + [
+    ["avg"],
+    ["map-demo"],
+    ["zip-demo"],
+    ["remap-demo"],
+]
+FIELD_VALUES = {
+    Kind.BOOL: st.booleans(),
+    Kind.INT: st.integers(I64_MIN, I64_MAX),
+    Kind.STR: st.text(st.characters(codec="utf-8"), max_size=8),
+    Kind.REAL: st.floats(allow_nan=False, allow_infinity=False),
+}
+# Control characters, JSON punctuation and any other character with a UTF-8 image.
+noise = st.one_of(control_rich, st.sampled_from('"\\{}[]:, '))
+noise_text = st.text(noise, max_size=24)
+short_noise = st.text(noise, min_size=1, max_size=6)
+extra_key = st.text(control_rich, min_size=1, max_size=6)
+
+
+def valid_line(command, schema, values):
+    """A line in the wire form that command reads: a lexeme line, a hex
+    image, or (for every other command, and where a field has no binary
+    form) a JSON record."""
+    record = schema.ctor(*values)
+    if command == "parse":
+        return pipelines.run_show(pipelines.show_record(schema.type_id)(record))
+    if command == "decode-bin" and Kind.REAL not in {f.kind for f in schema.fields}:
+        return encode_binary(record, schema).hex()
+    return to_named(record, schema)
+
+
+@st.composite
+def boundary_stdin(draw, argv, how):
+    """Bytes for argv's stdin: arbitrary lines, or valid lines with up to 6
+    characters inserted or replaced at one offset ("mutated"), or with one
+    extra key whose text is rich in control characters ("extra-key")."""
+    if how == "arbitrary":
+        return draw(st.one_of(st.binary(), st.lists(noise_text).map("\n".join).map(str.encode)))
+    schema = REGISTRY[argv[2]] if len(argv) == 3 else BENCHMARK_SCHEMA
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        line = valid_line(argv[0], schema, [draw(FIELD_VALUES[f.kind]) for f in schema.fields])
+        if how == "mutated":
+            at, chars = draw(st.integers(0, len(line))), draw(short_noise)
+            line = line[:at] + chars + line[at + len(chars) if draw(st.booleans()) else at :]
+        else:
+            key = draw(extra_key)
+            line = line[:-1] + "," + json.dumps(key, ensure_ascii=False) + ":1}"
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("how", ["arbitrary", "mutated", "extra-key"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_stdin_gives_an_exit_code_and_at_most_one_error_line(how, data):
+    """Whatever arrives on stdin, main returns 0, 1 or 2 and raises nothing;
+    stderr is empty on success and one `error: ` line otherwise (no line
+    break of any kind inside it); stdout is empty on exit 1."""
+    argv = data.draw(st.sampled_from(BOUNDARY_ARGVS), label="argv")
+    stdin = data.draw(boundary_stdin(argv, how), label="stdin")
+    out, err = io.StringIO(), io.StringIO()
+    with io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", errors="strict", newline="\n") as wrapped:
+        with patch("sys.stdin", wrapped), redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1, err
+    if code == 1:
+        assert out == ""

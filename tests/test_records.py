@@ -34,7 +34,7 @@ from recplug.records import (
     uncons,
 )
 
-from support import ref_apply_field, ref_finish, subclass_values
+from support import XInt, XStr, ref_apply_field, ref_finish, subclass_values
 
 int64 = st.integers(min_value=I64_MIN, max_value=I64_MAX)
 
@@ -131,6 +131,11 @@ def test_apply_field_kind_mismatch():
     b = apply_field(Builder(schema_for("device")), True)
     with pytest.raises(FieldTypeError):
         apply_field(b, "many")  # major wants an int
+    # A subclass value is shown as its base type's repr, not its own.
+    with pytest.raises(FieldTypeError, match=r"expects bool, got int \(7\)$"):
+        apply_field(Builder(schema_for("device")), XInt(7))
+    with pytest.raises(FieldTypeError, match=r"expects int, got str \('many'\)$"):
+        apply_field(b, XStr("many"))
 
 
 def test_apply_field_int_range():
@@ -139,6 +144,8 @@ def test_apply_field_int_range():
         apply_field(b, I64_MAX + 1)
     with pytest.raises(IntOverflowError):
         apply_field(b, I64_MIN - 1)
+    with pytest.raises(IntOverflowError, match=f"range: {I64_MAX + 1}$"):
+        apply_field(b, XInt(I64_MAX + 1))
     assert apply_field(b, I64_MAX).supplied[-1] == I64_MAX
 
 
