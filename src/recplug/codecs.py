@@ -22,16 +22,17 @@ escaped exactly as ``json.dumps(..., ensure_ascii=False)`` escapes them:
 ``\\"`` and ``\\\\``, ``\\b \\f \\n \\r \\t``, and ``\\u00xx`` (lowercase hex) for
 the other characters below U+0020.  Input accepts exactly those escapes and
 no raw character below U+0020, in JSON strings and in string lexemes alike.
-The scanner (``_scan_named``) defines the accepted JSON language and gives
-every error; the stdlib C decoder only fast-paths a line already in the
-canonical form to_named writes (any key order), which the scanner would
-read to the same pairs.
+One decoder reads it: the stdlib C decoder, after which each pair is
+spelled again as to_named spells it and the line must equal that spelling.
+Keys may come in any order and a real may be any finite JSON literal
+(``1.50``, ``2E3``); any other difference is an error at its offset.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
 from json.encoder import encode_basestring
@@ -326,10 +327,16 @@ def _json_real(v: float) -> str:
     return repr(v)  # shortest round-trip decimal, always with '.' or exponent
 
 
-#: to_named's spelling of a value of each exact type; no other decoded
-#: value (null, an array, an object) has a spelling.
+class _RealLiteral(str):
+    """A decoded JSON real, kept as its literal."""
+
+    __slots__ = ()
+
+
+#: to_named's spelling of a value of each exact type, and a decoded real's
+#: spelling; no other decoded value (null, an array, an object) has one.
 _SPELLINGS = {bool: lambda v: "true" if v else "false", int: str,
-              str: encode_basestring, float: _json_real}
+              str: encode_basestring, float: _json_real, _RealLiteral: str}
 
 
 def _named_pair(spec: FieldSpec, t: type):
@@ -347,114 +354,48 @@ def to_named(record, schema: RecordSchema) -> str:
     return "{" + ",".join(reversed(list_fields(pairs))) + "}"
 
 
-_NUM_RE = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
-_PLAIN_RUN = re.compile(r'[^"\\\x00-\x1f]*')
-#: Each escape the encoder writes, without its backslash, and what it stands
-#: for: the inverse of encode_basestring on '"', '\\' and U+0000-U+001F.
-_JSON_UNESCAPES = {
-    encode_basestring(c)[2:-1]: c for c in map(chr, (*range(0x20), 0x22, 0x5C))
-}
+def _no_constant(name: str):
+    raise MalformedJsonError(f"not a finite real: {name}")
 
 
-def _scan_string(text: str, i: int) -> tuple[str, int]:
-    i += 1  # opening quote
-    out = []
-    while True:
-        j = _PLAIN_RUN.match(text, i).end()
-        out.append(text[i:j])
-        if j == len(text):
-            raise MalformedJsonError("unterminated string")
-        if text[j] == '"':
-            return "".join(out), j + 1
-        if text[j] != "\\":
-            raise MalformedJsonError(f"raw control character {text[j]!r} at offset {j}")
-        if j + 1 == len(text):
-            raise MalformedJsonError(f"unterminated escape at offset {j}")
-        e = text[j + 1 : j + 6] if text[j + 1] == "u" else text[j + 1]
-        if e not in _JSON_UNESCAPES:
-            raise MalformedJsonError(f"unsupported escape {text[j : j + 1 + len(e)]!r} at offset {j}")
-        out.append(_JSON_UNESCAPES[e])
-        i = j + 1 + len(e)
-
-
-def _scan_value(text: str, i: int):
-    if i >= len(text):
-        raise MalformedJsonError("value expected at end of input")
-    if text[i] == '"':
-        return _scan_string(text, i)
-    if text.startswith("true", i):
-        return True, i + 4
-    if text.startswith("false", i):
-        return False, i + 5
-    m = _NUM_RE.match(text, i)
-    if m:
-        tok = m.group(0)
-        if m.group(2) or m.group(3):
-            v = float(tok)
-            if v in (float("inf"), float("-inf")):
-                raise MalformedJsonError(f"real literal overflows at offset {i}")
-            return v, m.end()
-        if tok == "-0":
-            raise MalformedJsonError(f"non-canonical integer -0 at offset {i}")
-        if len(tok) > _I64_DIGITS or not I64_MIN <= (v := int(tok)) <= I64_MAX:
-            raise MalformedJsonError(_out_of_range(tok))
-        return v, m.end()
-    raise MalformedJsonError(f"unrecognized value at offset {i}")
-
-
-def _scan_named(text: str) -> dict:
-    if not text or text[0] != "{":
-        raise MalformedJsonError("expected a flat JSON object")
-    pairs: dict = {}
-    i = 1
-    if i < len(text) and text[i] == "}":
-        i += 1
-    else:
-        while True:
-            if i >= len(text) or text[i] != '"':
-                raise MalformedJsonError(f"expected a key string at offset {i}")
-            key, i = _scan_string(text, i)
-            if i >= len(text) or text[i] != ":":
-                raise MalformedJsonError(f"expected ':' at offset {i}")
-            if key in pairs:
-                raise MalformedJsonError(f"duplicate key {key!r}")
-            pairs[key], i = _scan_value(text, i + 1)
-            if i < len(text) and text[i] == ",":
-                i += 1
-                continue
-            if i < len(text) and text[i] == "}":
-                i += 1
-                break
-            raise MalformedJsonError(f"expected ',' or '}}' at offset {i}")
-    if i != len(text):
-        raise MalformedJsonError(f"trailing characters after object at offset {i}")
-    return pairs
-
-
-#: The stdlib C decoder; an object decodes to its (key, value) pairs in order.
-_DECODER = json.JSONDecoder(object_pairs_hook=list)
+#: The stdlib C decoder: an object decodes to its (key, value) pairs in
+#: order and a real to its literal; NaN and Infinity are rejected.
+_DECODER = json.JSONDecoder(
+    object_pairs_hook=list, parse_float=_RealLiteral, parse_constant=_no_constant
+)
 
 
 def _named_pairs(text: str) -> dict:
-    """``text``'s pairs: from the C decoder if it is a flat object of unique
-    keys, each pair spelled as to_named spells it; else from the scanner."""
-    if text[:1] != "{":
-        return _scan_named(text)
+    """``text``'s pairs, if it is a flat object of unique keys spelled as
+    to_named spells it, keys in any order, a real as any finite literal."""
+    if text[:1] != "{":  # a line such as [["block",true]] would decode to pairs
+        raise MalformedJsonError("expected a flat JSON object")
     try:
         pairs, _ = _DECODER.raw_decode(text)
-    except (ValueError, RecursionError):  # the C decoder recurses per nesting level
-        return _scan_named(text)
-    spelled = []
+    except json.JSONDecodeError as exc:
+        raise MalformedJsonError(f"{exc.msg.removesuffix(' at')} at offset {exc.pos}") from None
+    except ValueError:  # an int literal past int()'s digit limit
+        raise MalformedJsonError("integer out of 64-bit signed range: too many digits") from None
+    except RecursionError:  # the C decoder recurses per nesting level
+        raise MalformedJsonError("nested too deeply for a flat JSON object") from None
+    named, spelled = {}, []
     for k, v in pairs:
         t = type(v)
         spell = _SPELLINGS.get(t)
-        if (spell is None or t is int and not I64_MIN <= v <= I64_MAX
-                or t is float and not math.isfinite(v)):  # NaN, Infinity, 1e400
-            return _scan_named(text)
+        if spell is None:  # null, an array or an object
+            raise MalformedJsonError(f"key {k!r} holds no bool, int, str or real")
+        if t is int and not I64_MIN <= v <= I64_MAX:
+            raise MalformedJsonError(_out_of_range(str(v)))
         spelled.append(encode_basestring(k) + ":" + spell(v))
-    named = dict(pairs)
-    if len(named) != len(pairs) or "{" + ",".join(spelled) + "}" != text:
-        return _scan_named(text)
+        if t is _RealLiteral and not math.isfinite(v := float(v)):
+            raise MalformedJsonError(f"real at key {k!r} overflows")
+        if k in named:
+            raise MalformedJsonError(f"duplicate key {k!r}")
+        named[k] = v
+    canonical = "{" + ",".join(spelled) + "}"
+    if canonical != text:
+        i = len(os.path.commonprefix((canonical, text)))
+        raise MalformedJsonError(f"not in canonical spelling at offset {i}")
     return named
 
 

@@ -3,6 +3,7 @@ reference implementations shared by the test modules."""
 
 import dataclasses
 import operator
+import re
 import struct
 from contextlib import contextmanager
 from enum import IntEnum
@@ -15,7 +16,7 @@ from recplug.codecs import (
     _b_int,
     _b_str,
     _e_str,
-    _scan_named,
+    _out_of_range,
     p_ap,
     p_bool,
     p_int,
@@ -311,10 +312,11 @@ def ref_finish(schema, supplied: tuple):
 
 
 # ---------------------------------------------------------------------------
-# Reference JSON string scanner: one character per step, the form the
-# run-at-a-time codecs._scan_string replaced, with the escapes the encoder
-# writes spelled out by hand.  Like the encoder's output, a string holds no
-# raw character below U+0020.
+# Reference JSON scanner: the executable definition of the named-field JSON
+# language that codecs.from_named reads with the C decoder.  Strings are read
+# one character per step, with the escapes the encoder writes spelled out by
+# hand; like the encoder's output, a string holds no raw character below
+# U+0020.
 
 REF_ESCAPES = {'"': '"', "\\": "\\", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
 REF_ESCAPES.update(
@@ -343,6 +345,66 @@ def ref_scan_string(text: str, i: int) -> tuple:
             out.append(c)
             i += 1
     raise MalformedJsonError("unterminated string")
+
+
+REF_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
+
+def ref_scan_value(text: str, i: int):
+    if i >= len(text):
+        raise MalformedJsonError("value expected at end of input")
+    if text[i] == '"':
+        return ref_scan_string(text, i)
+    if text.startswith("true", i):
+        return True, i + 4
+    if text.startswith("false", i):
+        return False, i + 5
+    m = REF_NUMBER.match(text, i)
+    if m:
+        tok = m.group(0)
+        if m.group(2) or m.group(3):
+            v = float(tok)
+            if v in (float("inf"), float("-inf")):
+                raise MalformedJsonError(f"real literal overflows at offset {i}")
+            return v, m.end()
+        if tok == "-0":
+            raise MalformedJsonError(f"non-canonical integer -0 at offset {i}")
+        if len(tok) > len(str(I64_MIN)) or not I64_MIN <= (v := int(tok)) <= I64_MAX:
+            raise MalformedJsonError(_out_of_range(tok))
+        return v, m.end()
+    raise MalformedJsonError(f"unrecognized value at offset {i}")
+
+
+def ref_scan_named(text: str) -> dict:
+    """A flat object of unique keys: no whitespace, strings with only the
+    encoder's escapes, canonical in-range ints, true or false, and reals as
+    any finite JSON literal with a fraction or an exponent."""
+    if not text or text[0] != "{":
+        raise MalformedJsonError("expected a flat JSON object")
+    pairs: dict = {}
+    i = 1
+    if i < len(text) and text[i] == "}":
+        i += 1
+    else:
+        while True:
+            if i >= len(text) or text[i] != '"':
+                raise MalformedJsonError(f"expected a key string at offset {i}")
+            key, i = ref_scan_string(text, i)
+            if i >= len(text) or text[i] != ":":
+                raise MalformedJsonError(f"expected ':' at offset {i}")
+            if key in pairs:
+                raise MalformedJsonError(f"duplicate key {key!r}")
+            pairs[key], i = ref_scan_value(text, i + 1)
+            if i < len(text) and text[i] == ",":
+                i += 1
+                continue
+            if i < len(text) and text[i] == "}":
+                i += 1
+                break
+            raise MalformedJsonError(f"expected ',' or '}}' at offset {i}")
+    if i != len(text):
+        raise MalformedJsonError(f"trailing characters after object at offset {i}")
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +487,7 @@ def ref_to_named(record, schema):
 
 
 def ref_from_named(text, schema):
-    pairs = _scan_named(text)
+    pairs = ref_scan_named(text)
     extra = set(pairs) - {f.name for f in schema.fields}
     if extra:
         raise ExtraKeyError(f"unexpected key(s): {', '.join(map(repr, sorted(extra)))}")

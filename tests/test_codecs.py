@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from recplug.codecs import (
     _BINARY_PRIMITIVES,
     _LEXEME_PRIMITIVES,
-    _scan_string,
     ApChain,
     decode_binary,
     encode_binary,
@@ -65,7 +64,6 @@ from support import (
     ref_encode_binary,
     ref_from_named,
     ref_parse_record,
-    ref_scan_string,
     ref_to_named,
     subclass_values,
 )
@@ -267,6 +265,71 @@ def test_from_named_rejections():
         from_named('{"log":"\\q"}', schema_for("benchmark"))
 
 
+_DEVICE_TAIL = ',"major":1,"minor":2}'
+_LOGS = ',"secondApp":2,"secondLog":""}'
+
+
+@pytest.mark.parametrize(
+    "type_id,line,message",
+    [
+        pytest.param("device", '[["block",true]]', "expected a flat JSON object", id="not-an-object"),
+        pytest.param("device", '{"block":true', "Expecting ',' delimiter at offset 13", id="decoder"),
+        pytest.param("device", '{"block', "Unterminated string starting at offset 1", id="decoder-at"),
+        pytest.param(
+            "benchmark",
+            '{"firstApp":1,"firstLog":"a\tb"' + _LOGS,
+            "Invalid control character at offset 27",
+            id="raw-control",
+        ),
+        pytest.param(
+            "device",
+            '{"block":true,"major":' + "9" * 5000 + ',"minor":2}',
+            "integer out of 64-bit signed range: too many digits",
+            id="digit-limit",
+        ),
+        pytest.param("device", '{"block":' + "[" * 100_000, "nested too deeply for a flat JSON object", id="deep"),
+        pytest.param("device", '{"block":NaN' + _DEVICE_TAIL, "not a finite real: NaN", id="constant"),
+        pytest.param("device", '{"block":null' + _DEVICE_TAIL, "key 'block' holds no bool, int, str or real", id="null"),
+        pytest.param(
+            "device",
+            '{"block":true,"major":9223372036854775808,"minor":2}',
+            "integer out of 64-bit signed range: 9223372036854775808",
+            id="int-range",
+        ),
+        pytest.param(
+            "device",
+            '{"block":true,"major":-' + "9" * 29 + ',"minor":2}',
+            "integer out of 64-bit signed range: -9999999999999999999… (29 digits)",
+            id="int-range-cut",
+        ),
+        pytest.param(
+            "benchmark_avg",
+            '{"firstApp":-1e400,"firstLog":"a","secondApp":2.0,"secondLog":""}',
+            "real at key 'firstApp' overflows",
+            id="real-range",
+        ),
+        pytest.param("device", '{"block":true,"block":true' + _DEVICE_TAIL, "duplicate key 'block'", id="duplicate"),
+        pytest.param(
+            "device",
+            '{"block":true, "major":1,"minor":2}',
+            "not in canonical spelling at offset 14",
+            id="whitespace",
+        ),
+        pytest.param(
+            "benchmark",
+            '{"firstApp":12345678,"firstLog":"\\/"' + _LOGS,
+            "not in canonical spelling at offset 33",
+            id="escape",
+        ),
+    ],
+)
+def test_from_named_diagnostics(type_id, line, message):
+    """One row per MalformedJsonError message form, with its exact text."""
+    with pytest.raises(MalformedJsonError) as err:
+        from_named(line, schema_for(type_id))
+    assert str(err.value) == message
+
+
 def test_named_escapes():
     tricky = Benchmark(1, 'say "hi"', 2, "back\\slash")
     text = to_named(tricky, BENCHMARK)
@@ -408,34 +471,8 @@ def test_from_named_accepts_exactly_the_written_escapes():
         assert not any(ch < " " for ch in text)
         assert from_named(text, BENCHMARK).first_log == c
     for escape in ("\\u0008", "\\u000a", "\\u001F", "\\u0041", "\\/", "\\u00"):
-        with pytest.raises(MalformedJsonError, match="unsupported escape"):
+        with pytest.raises(MalformedJsonError, match=r"not in canonical spelling|Invalid \\uXXXX escape"):
             from_named(f'{{"firstApp":1,"firstLog":"{escape}","secondApp":2,"secondLog":""}}', BENCHMARK)
-
-
-# Pieces of a string body: escapes the encoder writes and near misses, bare
-# quotes and backslashes, control characters and any other character.
-_SCAN_PIECES = st.one_of(
-    st.sampled_from(['\\"', "\\\\", "\\b", "\\n", "\\t", "\\u001f", "\\u0008", "\\u00", "\\u", "\\q"]),
-    st.sampled_from(['"', "\\", "u", "0", "1", "f", "F"]),
-    st.characters(max_codepoint=0x1F),
-    st.characters(),
-)
-
-
-def _scan_outcome(scan, text, i):
-    try:
-        return scan(text, i)
-    except MalformedJsonError as exc:
-        return type(exc), str(exc)
-
-
-@given(st.lists(_SCAN_PIECES, max_size=12).map("".join), st.text(max_size=3))
-def test_scan_string_matches_reference(body, prefix):
-    """The run-at-a-time scanner gives the one-character-per-step
-    reference's value and end offset, or its error class and message."""
-    text = prefix + '"' + body
-    start = len(prefix)
-    assert _scan_outcome(_scan_string, text, start) == _scan_outcome(ref_scan_string, text, start)
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +515,20 @@ image_bytes = st.one_of(
 
 
 def _outcome(codec, arg, schema):
+    """codec's value, or its error class and message.  The C decoder and the
+    reference scanner word their MalformedJsonErrors differently, so only
+    that class is kept for them."""
     try:
         return "ok", codec(arg, schema)
     except Error as exc:
-        return type(exc), str(exc)
+        return type(exc), None if isinstance(exc, MalformedJsonError) else str(exc)
 
 
 @given(st.data(), schemas, named_text, lexeme_stream, image_bytes)
 def test_staged_codecs_match_unstaged_reference(data, schema, text, stream, image):
     """Each entry point, run twice on one schema, gives the reference's
-    value, or its error class and message; the second run reads the plan
-    the first one staged, and a form the schema lacks raises again."""
+    value, spelled the same by repr, or its error; the second run reads the
+    plan the first one staged, and a form the schema lacks raises again."""
     values = [data.draw(st.one_of(field_values[f.kind], any_value)) for f in schema.fields]
     record = schema.ctor(*values)
     cases = [
@@ -508,9 +548,9 @@ def test_staged_codecs_match_unstaged_reference(data, schema, text, stream, imag
         if done == "ok":
             cases.append((decode, ref_decode, out))
     for staged, reference, arg in cases:
-        want = _outcome(reference, arg, schema)
-        assert _outcome(staged, arg, schema) == want
-        assert _outcome(staged, arg, schema) == want
+        want = repr(_outcome(reference, arg, schema))
+        assert repr(_outcome(staged, arg, schema)) == want
+        assert repr(_outcome(staged, arg, schema)) == want
 
 
 # Per kind: values that miss _checked's exact-type test, in and out of kind.
@@ -556,7 +596,7 @@ def test_subclass_values_are_written_as_their_base_type(schema, values):
 
 
 # ---------------------------------------------------------------------------
-# from_named's C-decoder front end against the scanner alone.
+# from_named against the reference scanner, on lines near its language.
 
 # Values json.dumps spells, in and out of every field's kind.
 _json_near_values = st.one_of(
@@ -569,10 +609,14 @@ _json_near_values = st.one_of(
 )
 # Spellings json.dumps never writes: non-canonical numbers, escapes the
 # encoder does not write, raw control characters and lone surrogates.
-_raw_near_values = st.sampled_from(
-    ["-0", "1.50", "1e5", "1E5", "-0.0", "01", "1.", "NaN", "-Infinity", "null", "[1]", "{}", "[" * 50]
-    + ['"\\/"', '"\\u0041"', '"\\u001F"', '"\\u001f"', '"a\tb"', '"\x00"', '"\ud800"', '"\\ud800"', "9" * 30, "1e400"]
+_RAW_NEAR = (
+    ["-0", "1.50", "1e5", "1E5", "-0.0", "01", "1.", "NaN", "Infinity", "-Infinity", "null", "[1]", "{}", "[" * 50]
+    + ['"\\/"', '"\\u0041"', '"\\u001F"', '"\\u001f"', '"a\tb"', '"\x00"', '"\ud800"', '"\\ud800"', "9" * 30]
+    + ["1e400", "-1e400"]
 )
+_raw_near_values = st.sampled_from(_RAW_NEAR)
+# JSON-significant pieces that one positional edit inserts or writes over.
+_MUTATION_PIECES = ['"', "\\", "{", "}", "[", ",", ":", " ", "A", "\\/", "\\ud800", "\x1f", "-0", "1.50", "9" * 25]
 
 
 # Values each field kind admits.
@@ -583,8 +627,9 @@ _admitted = {Kind.BOOL: st.booleans(), Kind.INT: int64, Kind.STR: st.text(max_si
 def near_miss_lines(draw, schema):
     """A JSON object line for ``schema`` in json.dumps spellings, with
     ensure_ascii on or off, and at most one near miss: in a value, in the
-    separators, in the keys or at the line's end."""
-    miss = draw(st.sampled_from([None, "value", "separators", "drop", "repeat", "extra", "escaped", "end"]))
+    separators, in the keys, at the line's end, or one piece inserted,
+    replaced or deleted at any offset."""
+    miss = draw(st.sampled_from([None, "value", "separators", "drop", "repeat", "extra", "escaped", "end", "mutate"]))
     ensure_ascii = draw(st.booleans())
     item_sep, key_sep = (", ", ": ") if miss == "separators" else (",", ":")
 
@@ -606,29 +651,52 @@ def near_miss_lines(draw, schema):
         name = json.loads(pairs[0][0])
         pairs[0][0] = '"\\u%04x%s"' % (ord(name[0]), name[1:])
     end = draw(st.sampled_from(["\r", "\n", " "])) if miss == "end" else ""
-    return "{" + item_sep.join(k + key_sep + v for k, v in pairs) + "}" + end
+    line = "{" + item_sep.join(k + key_sep + v for k, v in pairs) + "}" + end
+    if miss == "mutate":
+        i, piece = draw(st.integers(0, len(line))), draw(st.sampled_from(["", *_MUTATION_PIECES]))
+        line = line[:i] + piece + line[i + draw(st.integers(0, 1)) :]  # "" with 1 deletes
+    return line
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+# Whole-line near misses of a canonical line.
+_LINE_MISSES = [
+    pytest.param(lambda line: '[["block",true]]', id="array-of-pairs"),
+    pytest.param(lambda line: " " + line, id="leading-space"),
+    pytest.param(lambda line: "\ufeff" + line, id="leading-bom"),
+    pytest.param(lambda line: "{}", id="empty-object"),
+    pytest.param(lambda line: line + "\r", id="trailing-cr"),
+]
+
+
+@pytest.mark.parametrize("miss", [*_RAW_NEAR, *_LINE_MISSES])
 @pytest.mark.parametrize("type_id", sorted(REGISTRY))
-def test_non_finite_reals_fall_back_to_the_scanner(type_id, literal):
-    """The C decoder reads these literals as non-finite floats; the front end
-    hands the line to the scanner, which rejects it, in every field."""
+def test_non_finite_reals_fall_back_to_the_scanner(type_id, miss):
+    """Each raw near-miss literal, in every field, and each whole-line near
+    miss gets ref_from_named's outcome; a non-finite real, null, an array or
+    an object is rejected in any field."""
     schema = schema_for(type_id)
     admitted = {Kind.BOOL: "true", Kind.INT: "1", Kind.STR: '"a"', Kind.REAL: "2.5"}
-    for i in range(schema.arity):
-        spelled = [admitted[f.kind] for f in schema.fields]
-        spelled[i] = literal
-        text = "{" + ",".join(f'"{f.name}":{v}' for f, v in zip(schema.fields, spelled)) + "}"
+    spelled = [admitted[f.kind] for f in schema.fields]
+
+    def line(values):
+        return "{" + ",".join(f'"{f.name}":{v}' for f, v in zip(schema.fields, values)) + "}"
+
+    if callable(miss):
+        texts = [miss(line(spelled))]
+    else:
+        texts = [line(spelled[:i] + [miss] + spelled[i + 1 :]) for i in range(schema.arity)]
+    for text in texts:
         got, want = _outcome(from_named, text, schema), _outcome(ref_from_named, text, schema)
-        assert got == want and want[0] is MalformedJsonError
+        assert repr(got) == repr(want)
+        if miss in ("NaN", "Infinity", "-Infinity", "1e400", "-1e400", "null", "[1]", "{}"):
+            assert want[0] is MalformedJsonError
 
 
 @settings(max_examples=400)
 @given(st.data(), st.sampled_from(sorted(REGISTRY)).map(schema_for))
 def test_front_end_matches_scanner(data, schema):
     """from_named gives ref_from_named's record, spelled the same by repr
-    (so -0.0 stays -0.0), or its error class and message, on every line."""
+    (so -0.0 stays -0.0), or its error, on every line."""
     text = data.draw(near_miss_lines(schema))
     got, want = _outcome(from_named, text, schema), _outcome(ref_from_named, text, schema)
     assert repr(got) == repr(want)
