@@ -1,16 +1,19 @@
 r"""Command-line front end: pipeline demos and codecs over stdin/stdout.
 
 Each command is one `_COMMANDS` row, and `main` is the only code that
-reads stdin or writes stdout.  A typed command decodes the first line of
-stdin into a record of its `--type` and encodes it in another wire form;
-`avg` averages the JSON records on every line, and the demos read none.
+reads stdin or writes stdout.  A typed command decodes each line of stdin
+into a record of its `--type`, encodes it in another wire form and prints
+it before it reads the next line; an empty stdin is zero records.  `avg`
+folds the JSON record on each line into one average, and the demos read
+no stdin.
 
 Records cross the process boundary as one flat JSON object per line;
 binary images cross as lowercase hex.  A line ends at "\n" or "\r\n".  The
 console script reads stdin and writes stdout as strict UTF-8 whatever the
 locale; a closed stdin reads as empty input.  Exit codes: 0 success, 1
 domain error or undecodable stdin (one-line diagnostic on stderr) or closed
-stdout, 2 usage error.
+stdout, 2 usage error.  The first error on a line ends the run with
+"error: line N: <message>"; what lines 1 to N-1 printed stays on stdout.
 """
 
 import argparse
@@ -21,15 +24,9 @@ import sys
 
 from . import codecs, pipelines, records, scott
 from .errors import Error
-from .records import EXAMPLE_DEVICE, Kind, RecordSchema, list_fields, schema_for
+from .records import EXAMPLE_DEVICE, RecordSchema, schema_for
 
 _HEX_IMAGE = re.compile(r"(?:[0-9a-f]{2})*")
-
-
-def _lines(stdin):
-    r"""Each line of stdin, read lazily, without its "\n" or "\r\n"."""
-    for line in stdin:
-        yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
 
 
 def _lexeme_record(line: str, schema: RecordSchema):
@@ -50,21 +47,6 @@ def _hex_line(record, schema: RecordSchema, encoding) -> str:
     return codecs.encode_binary(record, schema).hex()
 
 
-def _lexeme_line(record, schema: RecordSchema, encoding) -> str:
-    # Lexemes are space-separated and lines end at a newline, so shown
-    # strings must contain no space and no control character.
-    for spec, value in zip(schema.fields, list_fields(schema.destruct(record))):
-        if spec.kind is not Kind.STR:
-            continue
-        if " " in value:
-            raise Error(f"field {spec.name!r} contains a space, not showable")
-        if codecs.CONTROL.search(value):
-            raise Error(f"field {spec.name!r} contains a control character, not showable")
-    if encoding == "scott":
-        return scott.run_show_cps(scott.show_record_cps(schema.type_id)(record))
-    return pipelines.run_show(pipelines.show_record(schema.type_id)(record))
-
-
 def _map_demo(lines, encoding):
     if encoding == "scott":
         return scott.run_map_cps(scott.map_device_demo_cps()(EXAMPLE_DEVICE))
@@ -83,7 +65,7 @@ def _remap_demo(lines, encoding):
 
 
 def _avg(lines, encoding):
-    return pipelines.average([codecs.from_named(line, records.BENCHMARK_SCHEMA) for line in lines])
+    return pipelines.average(codecs.from_named(line, records.BENCHMARK_SCHEMA) for line in lines)
 
 
 # (command, help, make, write, takes --encoding).  A typed command (it takes
@@ -92,7 +74,7 @@ def _avg(lines, encoding):
 # makes it with a producer, (lines, encoding) -> record, of the schema that
 # `write` names, and writes it as JSON.
 _COMMANDS = (
-    ("show", "JSON record on stdin -> lexeme line", codecs.from_named, _lexeme_line, True),
+    ("show", "JSON record on stdin -> lexeme line", codecs.from_named, codecs.show_line, True),
     ("parse", "lexeme line on stdin -> JSON record", _lexeme_record, _json_line, False),
     ("map-demo", "run the fixed field-map pipeline", _map_demo, records.DEVICE_SCHEMA, True),
     ("zip-demo", "run the fixed two-record zip pipeline", _zip_demo, records.DEVICE_SCHEMA, True),
@@ -126,20 +108,27 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    lines = _lines(sys.stdin)
+    read = 0  # lines taken from stdin so far; an error names the last one
+
+    def lines():
+        r"""Each line of stdin, read lazily, without its "\n" or "\r\n"."""
+        nonlocal read
+        for read, line in enumerate(sys.stdin, 1):
+            yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+
     try:
         if isinstance(args.write, RecordSchema):  # avg and the demos
-            text = codecs.to_named(args.make(lines, args.encoding), args.write)
+            print(codecs.to_named(args.make(lines(), args.encoding), args.write))
         else:
             schema = schema_for(args.type)
-            text = args.write(args.make(next(lines, ""), schema), schema, args.encoding)
+            for line in lines():
+                print(args.write(args.make(line, schema), schema, args.encoding))
     except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: line {read}: {exc}" if read else f"error: {exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:
         print(f"error: stdin is not UTF-8: {exc.reason}", file=sys.stderr)
         return 1
-    print(text)
     return 0
 
 

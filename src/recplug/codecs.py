@@ -1,8 +1,9 @@
 """Codecs generated from one field schema per record type.
 
 Three wire forms share the schema registry entry: a space-separated lexeme
-line (the pretty-printer's output, parsed back by an applicative chain), a
-binary image, and a flat named-field JSON subset.  Encoders are chop
+line (shown by a pair-track or a CPS show pipeline, parsed back by an
+applicative chain; a shown string holds no space and no control character),
+a binary image, and a flat named-field JSON subset.  Encoders are chop
 pipelines over the destructured record; decoders are applicative chains
 of primitive parsers over a cursor.  A parser maps ``(src, pos)`` to a
 ``(value, cursor)`` pair or raises its typed CodecError.  Chains and
@@ -35,6 +36,7 @@ import math
 import os
 import re
 import struct
+from functools import reduce
 from json.encoder import encode_basestring
 from typing import Callable, Sequence
 
@@ -50,7 +52,7 @@ from .errors import (
     TruncatedError,
     WrongValueKindError,
 )
-from .pipelines import show_pipeline
+from .pipelines import render_value, run_show, show_pipeline
 from .records import (
     I64_MAX,
     I64_MIN,
@@ -65,6 +67,7 @@ from .records import (
     kind_of,
     list_fields,
 )
+from .scott import cps_destructor, depure_show_cps, run_show_cps, showa_cps
 
 #: (src, pos) -> (value, cursor); a parser that fails raises a CodecError.
 Parser = Callable[[Sequence, int], tuple]
@@ -169,61 +172,44 @@ def _lexeme_at(src, pos, what: str) -> str:
     return src[pos]
 
 
-def p_bool() -> Parser:
-    def run(src, pos):
-        lex = _lexeme_at(src, pos, "a boolean")
-        if lex == "False":
-            return False, pos + 1
-        if lex == "True":
-            return True, pos + 1
-        raise ParseError(f"expected 'False' or 'True', got {lex!r}", pos)
-
-    return run
+def p_bool(src, pos):
+    lex = _lexeme_at(src, pos, "a boolean")
+    if lex == "False":
+        return False, pos + 1
+    if lex == "True":
+        return True, pos + 1
+    raise ParseError(f"expected 'False' or 'True', got {lex!r}", pos)
 
 
-def p_int() -> Parser:
-    def run(src, pos):
-        lex = _lexeme_at(src, pos, "an integer")
-        if not _INT_RE.fullmatch(lex) or lex == "-0":
-            raise ParseError(f"not a canonical integer: {lex!r}", pos)
-        if len(lex) > _I64_DIGITS or not I64_MIN <= (v := int(lex)) <= I64_MAX:
-            raise ParseError(_out_of_range(lex), pos)
-        return v, pos + 1
-
-    return run
+def p_int(src, pos):
+    lex = _lexeme_at(src, pos, "an integer")
+    if not _INT_RE.fullmatch(lex) or lex == "-0":
+        raise ParseError(f"not a canonical integer: {lex!r}", pos)
+    if len(lex) > _I64_DIGITS or not I64_MIN <= (v := int(lex)) <= I64_MAX:
+        raise ParseError(_out_of_range(lex), pos)
+    return v, pos + 1
 
 
-def p_str() -> Parser:
-    def run(src, pos):
-        lex = _lexeme_at(src, pos, "a string")
-        if CONTROL.search(lex):
-            raise ParseError(f"control character in string: {lex!r}", pos)
-        return lex, pos + 1
-
-    return run
+def p_str(src, pos):
+    lex = _lexeme_at(src, pos, "a string")
+    if CONTROL.search(lex):
+        raise ParseError(f"control character in string: {lex!r}", pos)
+    return lex, pos + 1
 
 
-def p_real() -> Parser:
-    def run(src, pos):
-        lex = _lexeme_at(src, pos, "a real")
-        try:
-            v = float(lex)
-        except ValueError:
-            v = math.nan
-        # Exactly what render_value prints for a finite float.
-        if not math.isfinite(v) or repr(v) != lex:
-            raise ParseError(f"not a canonical finite real: {lex!r}", pos)
-        return v, pos + 1
-
-    return run
+def p_real(src, pos):
+    lex = _lexeme_at(src, pos, "a real")
+    try:
+        v = float(lex)
+    except ValueError:
+        v = math.nan
+    # Exactly what render_value prints for a finite float.
+    if not math.isfinite(v) or repr(v) != lex:
+        raise ParseError(f"not a canonical finite real: {lex!r}", pos)
+    return v, pos + 1
 
 
-_LEXEME_PRIMITIVES = {
-    Kind.BOOL: p_bool(),
-    Kind.INT: p_int(),
-    Kind.STR: p_str(),
-    Kind.REAL: p_real(),
-}
+_LEXEME_PRIMITIVES = {Kind.BOOL: p_bool, Kind.INT: p_int, Kind.STR: p_str, Kind.REAL: p_real}
 _lexeme_chain = _chain(_LEXEME_PRIMITIVES, "lexeme")
 
 
@@ -235,6 +221,40 @@ def parse_record(stream: Sequence[str], schema: RecordSchema):
             f"{len(stream) - cursor} unconsumed lexeme(s) at position {cursor}"
         )
     return finish(built)
+
+
+def _shown(spec: FieldSpec):
+    """The field's lexeme renderer.  Lexemes are space-separated and lines
+    end at a newline, so a shown string holds no space and no control
+    character."""
+    if spec.kind is not Kind.STR:
+        return render_value
+
+    def render(v):
+        if " " in v:
+            raise CodecError(f"field {spec.name!r} contains a space, not showable")
+        if CONTROL.search(v):
+            raise CodecError(f"field {spec.name!r} contains a control character, not showable")
+        return render_value(v)
+
+    return render
+
+
+def _lexeme_show(schema: RecordSchema):
+    return show_pipeline(schema.destruct, map(_shown, schema.fields))
+
+
+def _lexeme_show_cps(schema: RecordSchema):
+    seed = depure_show_cps(cps_destructor(schema.type_id))
+    return reduce(showa_cps, map(_shown, schema.fields), seed)
+
+
+def show_line(record, schema: RecordSchema, encoding: str) -> str:
+    """The lexeme line parse_record reads back, shown by the pair-track
+    pipeline, or by the CPS one when ``encoding`` is "scott"."""
+    if encoding == "scott":
+        return run_show_cps(_staged(schema, _lexeme_show_cps)(record))
+    return run_show(_staged(schema, _lexeme_show)(record))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +434,7 @@ def from_named(text: str, schema: RecordSchema):
         if f.name not in pairs:
             raise MissingKeyError(f"missing key {f.name!r}")
         v = pairs[f.name]
-        if type(v) is not t and kind_of(v) is not f.kind:
+        if type(v) is not t:  # every decoded value is a plain bool, int, str or float
             raise WrongValueKindError(
                 f"key {f.name!r} expects {f.kind.value}, got {kind_of(v).value}"
             )

@@ -195,30 +195,29 @@ def remap_device_demo():
 # Benchmark averaging: fold with a zip pipeline, then divide with a map one.
 
 
-def average(outputs: list) -> Benchmark:
+def average(outputs) -> Benchmark:
     """Pointwise average of int-app benchmarks into a float-app benchmark.
 
     App fields are summed then divided by the count; log fields are
-    concatenated.  The fold aborts on the first error (overflow included).
-    The logs are joined once after the fold: concatenating them step by
-    step would copy the growing log on every record.
+    concatenated.  ``outputs`` may be any iterable: each record is folded in
+    as it arrives, and the fold aborts on the first error (overflow
+    included).  The logs are joined once after the fold: concatenating them
+    step by step would copy the growing log on every record.
     """
-    if not outputs:
-        raise EmptyInputError("average: need at least one benchmark")
-    n = len(outputs)
-
     bappend = depure_zip("benchmark", destructure_benchmark, destructure_benchmark)
     bappend = zipa(bappend, add)
     bappend = zipa(bappend, _keep_left)  # logs are joined after the fold
     bappend = zipa(bappend, add)
     bappend = zipa(bappend, _keep_left)
-    summed = reduce(lambda a, b: run_zip(bappend(a, b)), outputs, Benchmark(0, "", 0, ""))
-    folded = Benchmark(
-        summed.first_app,
-        "".join(b.first_log for b in outputs),
-        summed.second_app,
-        "".join(b.second_log for b in outputs),
-    )
+    summed, first_logs, second_logs = Benchmark(0, "", 0, ""), [], []
+    for b in outputs:
+        summed = run_zip(bappend(summed, b))
+        first_logs.append(b.first_log)
+        second_logs.append(b.second_log)
+    n = len(first_logs)
+    if not n:
+        raise EmptyInputError("average: need at least one benchmark")
+    folded = Benchmark(summed.first_app, "".join(first_logs), summed.second_app, "".join(second_logs))
 
     bdivide = depure_map("benchmark_avg", destructure_benchmark)
     bdivide = mapa(bdivide, lambda v: v / n)

@@ -245,7 +245,7 @@ class Builder:
     @property
     def supplied(self) -> tuple:
         """The values applied so far, in field order."""
-        return tuple(_unwound(self._cells))
+        return tuple(reversed(list_fields(self._cells)))
 
     def __eq__(self, other):
         if not isinstance(other, Builder):
@@ -257,16 +257,6 @@ class Builder:
 
     def __repr__(self):
         return f"Builder(schema={self.schema!r}, supplied={self.supplied!r})"
-
-
-def _unwound(cells: FieldList) -> list:
-    """The values of a newest-first cons chain, oldest first."""
-    out = []
-    while cells:
-        v, cells = cells
-        out.append(v)
-    out.reverse()
-    return out
 
 
 def builder_new(type_id: str) -> Builder:
@@ -303,4 +293,4 @@ def finish(b: Builder) -> Any:
             missing,
             f"finish: {b.schema.type_id} builder still needs {missing} field(s)",
         )
-    return b.schema.ctor(*_unwound(b._cells))
+    return b.schema.ctor(*reversed(list_fields(b._cells)))

@@ -430,7 +430,7 @@ def _ref_chain(table, schema, form):
 
 
 def ref_parse_record(stream, schema):
-    table = {Kind.BOOL: p_bool(), Kind.INT: p_int(), Kind.STR: p_str(), Kind.REAL: p_real()}
+    table = {Kind.BOOL: p_bool, Kind.INT: p_int, Kind.STR: p_str, Kind.REAL: p_real}
     built, cursor = _ref_chain(table, schema, "lexeme")(stream, 0)
     if cursor != len(stream):
         raise TrailingInputError(

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -20,6 +21,8 @@ from recplug.records import BENCHMARK_SCHEMA, I64_MAX, I64_MIN, REGISTRY, Benchm
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
+#: The prefix of a diagnostic that names the line it arose on.
+LINE_PREFIX = re.compile(r"^error: line (\d+): ")
 
 # (golden file, argv, stdin fixture or None)
 GOLDEN_CASES = [
@@ -151,7 +154,8 @@ def test_domain_errors_exit_1(monkeypatch, capsys, argv, stdin_text):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1  # one-line diagnostic
-    assert len(err) < 100  # over-long literals are cut short in the message
+    # Over-long literals are cut short in the message after its line number.
+    assert len(LINE_PREFIX.sub("error: ", err)) < 100
 
 
 # Per field kind: a sample value, its lexeme, and its binary image (None
@@ -162,13 +166,20 @@ SAMPLES = {
     Kind.STR: ("a\\b", "a\\b", struct.pack("<I", 3) + b"a\\b"),
     Kind.REAL: (2.5, "2.5", None),
 }
+# A second sample per kind, so that a second record differs in every field.
+OTHER_SAMPLES = {
+    Kind.BOOL: (False, "False", b"\x00"),
+    Kind.INT: (12, "12", struct.pack("<q", 12)),
+    Kind.STR: ("xy", "xy", struct.pack("<I", 2) + b"xy"),
+    Kind.REAL: (-0.5, "-0.5", None),
+}
 
 
-def typed_io(schema, command):
+def typed_io(schema, command, samples=SAMPLES):
     """(stdin line, expected stdout line) for a typed command on a sample
     record of schema; stdout is None where a field's kind has no form in
     the command's wire format (reals have no binary form)."""
-    samples = [SAMPLES[f.kind] for f in schema.fields]
+    samples = [samples[f.kind] for f in schema.fields]
     pairs = [(f.name, s[0]) for f, s in zip(schema.fields, samples)]
     canon = json.dumps(dict(pairs), separators=(",", ":"))
     shuffled = json.dumps(dict(reversed(pairs)), separators=(",", ":"))
@@ -198,6 +209,52 @@ def test_every_registered_type(monkeypatch, capsys, type_id, command):
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert (code, out, err) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("command", TYPED_COMMANDS)
+@pytest.mark.parametrize("type_id", sorted(REGISTRY))
+def test_a_typed_command_reads_one_record_per_line(monkeypatch, capsys, type_id, command):
+    """Each line is one record, encoded and printed in order, and an empty
+    stdin is none.  The first bad line ends the run with exit 1 and names
+    its line; what the lines before it printed stays on stdout."""
+    argv = [command, "--type", type_id]
+    first_in, first_out = typed_io(REGISTRY[type_id], command)
+    second_in, second_out = typed_io(REGISTRY[type_id], command, OTHER_SAMPLES)
+    assert run_cli(monkeypatch, capsys, argv, "") == (0, "", "")
+    code, out, err = run_cli(monkeypatch, capsys, argv, f"{first_in}\n{second_in}\n")
+    if first_out is None:  # the record has no form in this wire format
+        assert (code, out) == (1, "") and err.startswith("error: line 1: ")
+        return
+    assert (code, out, err) == (0, f"{first_out}\n{second_out}\n", "")
+    code, out, err = run_cli(monkeypatch, capsys, argv, f"{first_in}\nnot a record\n{second_in}\n")
+    assert (code, out) == (1, first_out + "\n")
+    assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+
+def test_avg_names_the_line_whose_sum_overflows(monkeypatch, capsys):
+    line = to_named(Benchmark(I64_MAX, "a", 1, "b"), BENCHMARK_SCHEMA) + "\n"
+    code, out, err = run_cli(monkeypatch, capsys, ["avg"], line * 3)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 2: integer out of 64-bit signed range") and err.count("\n") == 1
+    # An empty stdin is no benchmark to average, and names no line.
+    assert run_cli(monkeypatch, capsys, ["avg"], "") == (1, "", "error: average: need at least one benchmark\n")
+
+
+def test_a_process_streams_every_line():
+    """One recplug process prints a record per line, and stops at the first
+    bad line with line 1's output on stdout."""
+    first, second = b'{"minor":1,"major":19,"block":false}\n', b'{"block":true,"major":2,"minor":3}\n'
+
+    def run(stdin):
+        argv = [sys.executable, "-m", "recplug", "to-json", "--type", "device"]
+        return subprocess.run(argv, input=stdin, capture_output=True)
+
+    proc = run(first + second)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b'{"block":false,"major":19,"minor":1}\n' + second
+    proc = run(first + b"not json\n" + second)
+    assert (proc.returncode, proc.stdout) == (1, b'{"block":false,"major":19,"minor":1}\n')
+    assert proc.stderr.startswith(b"error: line 2: ") and proc.stderr.count(b"\n") == 1
 
 
 @pytest.mark.parametrize("fixture,type_name", [("device.json", "device"), ("benchmark.json", "benchmark")])
@@ -269,17 +326,24 @@ control_rich = st.one_of(st.characters(max_codepoint=0x1F), st.characters(codec=
 utf8_text = st.text(control_rich, max_size=16)
 
 
-@given(utf8_text)
-def test_decode_bin_then_from_json_keeps_one_line(log):
+#: Every registered type whose fields all have a binary form.
+BINARY_TYPES = sorted(t for t, s in REGISTRY.items() if Kind.REAL not in {f.kind for f in s.fields})
+BINARY_VALUES = {Kind.BOOL: st.booleans(), Kind.INT: st.integers(I64_MIN, I64_MAX), Kind.STR: utf8_text}
+
+
+@given(data=st.data())
+def test_decode_bin_then_from_json_keeps_one_line(data):
     """A string field holding control characters leaves decode-bin as one
-    line, and from-json reads that line back to the same record."""
-    record = Benchmark(1, log, -2, log[::-1])
-    image = encode_binary(record, BENCHMARK_SCHEMA).hex()
-    code, line, err = call_main(["decode-bin", "--type", "benchmark"], image + "\n")
+    line, and from-json reads that line back to the same record, for every
+    registered type with a binary form."""
+    schema = REGISTRY[data.draw(st.sampled_from(BINARY_TYPES), label="type")]
+    record = schema.ctor(*(data.draw(BINARY_VALUES[f.kind]) for f in schema.fields))
+    image = encode_binary(record, schema).hex()
+    code, line, err = call_main(["decode-bin", "--type", schema.type_id], image + "\n")
     assert (code, err, line.count("\n")) == (0, "", 1)
-    code, out, err = call_main(["from-json", "--type", "benchmark"], line)
+    code, out, err = call_main(["from-json", "--type", schema.type_id], line)
     assert (code, out, err) == (0, line, "")
-    assert from_named(out.rstrip("\n"), BENCHMARK_SCHEMA) == record
+    assert from_named(out.rstrip("\n"), schema) == record
 
 
 def test_lone_surrogate_has_no_binary_image():
@@ -389,7 +453,9 @@ def boundary_stdin(draw, argv, how):
 def test_any_stdin_gives_an_exit_code_and_at_most_one_error_line(how, data):
     """Whatever arrives on stdin, main returns 0, 1 or 2 and raises nothing;
     stderr is empty on success and one `error: ` line otherwise (no line
-    break of any kind inside it); stdout is empty on exit 1."""
+    break of any kind inside it).  On exit 1 with `error: line N: `, a typed
+    command's stdout is what main prints for each of lines 1 to N-1 run
+    alone; after any other error, and for avg and the demos, it is empty."""
     argv = data.draw(st.sampled_from(BOUNDARY_ARGVS), label="argv")
     stdin = data.draw(boundary_stdin(argv, how), label="stdin")
     out, err = io.StringIO(), io.StringIO()
@@ -402,5 +468,11 @@ def test_any_stdin_gives_an_exit_code_and_at_most_one_error_line(how, data):
         assert err == ""
     else:
         assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1, err
-    if code == 1:
+    numbered = LINE_PREFIX.match(err)
+    if code == 1 and numbered and argv[0] in TYPED_COMMANDS:
+        lines = list(io.StringIO(stdin.decode(), newline="\n"))[: int(numbered[1]) - 1]
+        alone = [call_main(argv, line) for line in lines]
+        assert [c for c, _, _ in alone] == [0] * len(lines)
+        assert out == "".join(printed for _, printed, _ in alone)
+    elif code == 1:
         assert out == ""

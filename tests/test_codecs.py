@@ -19,6 +19,7 @@ from recplug.codecs import (
     p_pure,
     p_str,
     parse_record,
+    show_line,
     to_named,
 )
 from recplug.errors import (
@@ -93,39 +94,39 @@ def test_p_pure():
 
 
 def test_p_bool():
-    assert p_bool()(["True"], 0) == (True, 1)
-    assert p_bool()(["False"], 0) == (False, 1)
+    assert p_bool(["True"], 0) == (True, 1)
+    assert p_bool(["False"], 0) == (False, 1)
     for src in (["yes"], []):
         with pytest.raises(ParseError):
-            p_bool()(src, 0)
+            p_bool(src, 0)
 
 
 def test_p_int():
-    assert p_int()(["19"], 0) == (19, 1)
-    assert p_int()(["-5"], 0) == (-5, 1)
-    assert p_int()(["0"], 0) == (0, 1)
+    assert p_int(["19"], 0) == (19, 1)
+    assert p_int(["-5"], 0) == (-5, 1)
+    assert p_int(["0"], 0) == (0, 1)
     for bad in ("019", "+1", "-0", "1.5", "", "x"):
         with pytest.raises(ParseError):
-            p_int()([bad], 0)
+            p_int([bad], 0)
     # 64-bit boundaries, and a literal past int()'s digit limit
-    assert p_int()([str(I64_MAX)], 0) == (I64_MAX, 1)
-    assert p_int()([str(I64_MIN)], 0) == (I64_MIN, 1)
+    assert p_int([str(I64_MAX)], 0) == (I64_MAX, 1)
+    assert p_int([str(I64_MIN)], 0) == (I64_MIN, 1)
     for bad in (str(I64_MAX + 1), "9223372036854775808", str(I64_MIN - 1), "9" * 5000):
         with pytest.raises(ParseError, match="out of 64-bit signed range"):
-            p_int()([bad], 0)
+            p_int([bad], 0)
 
 
 def test_p_str():
-    assert p_str()(["anything"], 0) == ("anything", 1)
-    assert p_str()([""], 0) == ("", 1)
+    assert p_str(["anything"], 0) == ("anything", 1)
+    assert p_str([""], 0) == ("", 1)
     for src in ([], ["a\tb"], ["\x00"], ["x\x1f"]):
         with pytest.raises(ParseError):
-            p_str()(src, 0)
+            p_str(src, 0)
 
 
 def test_p_ap_chain():
     parser = p_pure(Builder(DEVICE))
-    for prim in (p_bool(), p_int(), p_int()):
+    for prim in (p_bool, p_int, p_int):
         parser = p_ap(parser, prim)
     value, cursor = parser(["False", "19", "1"], 0)
     assert value.supplied == (False, 19, 1)
@@ -139,7 +140,7 @@ def test_p_ap_short_circuits():
         ran.append(pos)
         return 1, pos + 1
 
-    failing = p_bool()  # "nope" is not a boolean
+    failing = p_bool  # "nope" is not a boolean
     with pytest.raises(ParseError):
         p_ap(p_ap(p_pure(lambda v: v), failing), second)(["nope"], 0)
     assert ran == []
@@ -148,8 +149,8 @@ def test_p_ap_short_circuits():
 def test_p_ap_identity_step():
     streams = (["x"], ["False", "y"], [""])
     for src in streams:
-        direct = p_str()(src, 0)
-        wrapped = p_ap(p_pure(lambda v: v), p_str())(src, 0)
+        direct = p_str(src, 0)
+        wrapped = p_ap(p_pure(lambda v: v), p_str)(src, 0)
         assert wrapped == direct
 
 
@@ -170,6 +171,7 @@ def test_parse_record_reports_position():
 @given(devices)
 def test_lexeme_round_trip(d):
     line = run_show(show_record("device")(d))
+    assert show_line(d, DEVICE, "lisp") == show_line(d, DEVICE, "scott") == line
     assert parse_record(lexemes(line), DEVICE) == d
 
 
@@ -592,6 +594,7 @@ def test_subclass_values_are_written_as_their_base_type(schema, values):
     record = schema.ctor(*values)
     assert json.loads(to_named(record, schema)) == {f.name: v for f, v in zip(schema.fields, values)}
     line = run_show(show_record(schema.type_id)(record))
+    assert show_line(record, schema, "lisp") == show_line(record, schema, "scott") == line
     assert parse_record(lexemes(line), schema) == record
 
 
