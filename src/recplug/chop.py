@@ -9,8 +9,6 @@ value, not a chain of nested closures, so running it takes one loop however
 many steps it has.
 """
 
-from typing import Callable
-
 from .errors import ArityError
 
 
@@ -55,9 +53,9 @@ def chop3(state, step):
 
 class Pipeline:
     """A reader pipeline as data: a seed and the (chopper, step) pairs
-    plugged after it.
+    plugged after it, built only by the ``hom_wrap`` wrappers.
 
-    ``Pipeline(seed, steps)(*records)`` equals the nested closures
+    Running it on ``*records`` equals the nested closures
     ``chopper_n(... chopper_1(seed(*records), step_1) ..., step_n)``, run
     as one loop over the flat ``steps`` tuple, so the Python stack stays
     flat at any arity.  Wrapping a pipeline is O(1): the new one keeps the
@@ -67,11 +65,6 @@ class Pipeline:
     """
 
     __slots__ = ("seed", "_steps", "_prior", "_last")
-
-    def __init__(self, seed: Callable, steps: tuple):
-        self.seed = seed
-        self._steps = tuple(steps)
-        self._prior = self._last = None
 
     @property
     def steps(self) -> tuple:
@@ -92,11 +85,12 @@ class Pipeline:
 
 
 def _extend(pipeline, chopper, step) -> Pipeline:
-    if not isinstance(pipeline, Pipeline):
-        return Pipeline(pipeline, ((chopper, step),))
     wrapped = object.__new__(Pipeline)
-    wrapped.seed, wrapped._steps = pipeline.seed, None
     wrapped._prior, wrapped._last = pipeline, (chopper, step)
+    if isinstance(pipeline, Pipeline):
+        wrapped.seed, wrapped._steps = pipeline.seed, None
+    else:  # a seed: the first step
+        wrapped.seed, wrapped._steps = pipeline, (wrapped._last,)
     return wrapped
 
 

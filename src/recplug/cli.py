@@ -9,11 +9,12 @@ no stdin.
 
 Records cross the process boundary as one flat JSON object per line;
 binary images cross as lowercase hex.  A line ends at "\n" or "\r\n".  The
-console script reads stdin and writes stdout as strict UTF-8 whatever the
-locale; a closed stdin reads as empty input.  Exit codes: 0 success, 1
-domain error or undecodable stdin (one-line diagnostic on stderr) or closed
-stdout, 2 usage error.  The first error on a line ends the run with
-"error: line N: <message>"; what lines 1 to N-1 printed stays on stdout.
+console script reads stdin and writes stdout as UTF-8 whatever the locale;
+a closed stdin reads as empty input.  Exit codes: 0 success, 1 domain
+error or undecodable stdin (one-line diagnostic on stderr) or closed
+stdout, 2 usage error.  The first error on a line, a line that is not
+UTF-8 included, ends the run with "error: line N: <message>"; what lines 1
+to N-1 printed stays on stdout.
 """
 
 import argparse
@@ -27,6 +28,8 @@ from .errors import Error
 from .records import EXAMPLE_DEVICE, RecordSchema, schema_for
 
 _HEX_IMAGE = re.compile(r"(?:[0-9a-f]{2})*")
+#: What the console script's stdin decoder makes of a byte that is not UTF-8.
+_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 def _lexeme_record(line: str, schema: RecordSchema):
@@ -111,9 +114,15 @@ def main(argv=None) -> int:
     read = 0  # lines taken from stdin so far; an error names the last one
 
     def lines():
-        r"""Each line of stdin, read lazily, without its "\n" or "\r\n"."""
+        r"""Each line of stdin, read lazily, without its "\n" or "\r\n"; a
+        line that holds an escaped byte is an error with its number."""
         nonlocal read
         for read, line in enumerate(sys.stdin, 1):
+            if not line.isascii() and _ESCAPED.search(line):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeError as exc:
+                    raise Error(f"stdin is not UTF-8: {exc.reason}") from None
             yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
 
     try:
@@ -137,8 +146,8 @@ def console_main() -> None:
         raise SystemExit(1)
     if sys.stdin is None:  # descriptor 0 is closed: it reads as empty input
         sys.stdin = io.TextIOWrapper(io.BytesIO())
-    for stream in (sys.stdin, sys.stdout):
-        stream.reconfigure(encoding="utf-8", errors="strict")
+    sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+    sys.stdout.reconfigure(encoding="utf-8", errors="strict")
     try:
         code = main()
         sys.stdout.flush()

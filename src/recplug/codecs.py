@@ -52,7 +52,7 @@ from .errors import (
     TruncatedError,
     WrongValueKindError,
 )
-from .pipelines import render_value, run_show, show_pipeline
+from .pipelines import depure_show, run_show, showa
 from .records import (
     I64_MAX,
     I64_MIN,
@@ -67,7 +67,7 @@ from .records import (
     kind_of,
     list_fields,
 )
-from .scott import cps_destructor, depure_show_cps, run_show_cps, showa_cps
+from .scott import cps_form, depure_show_cps, run_show_cps, showa_cps
 
 #: (src, pos) -> (value, cursor); a parser that fails raises a CodecError.
 Parser = Callable[[Sequence, int], tuple]
@@ -214,7 +214,10 @@ _lexeme_chain = _chain(_LEXEME_PRIMITIVES, "lexeme")
 
 
 def parse_record(stream: Sequence[str], schema: RecordSchema):
-    """Strict applicative parse: the whole stream must be consumed."""
+    """Strict applicative parse: the whole stream must be consumed.  A
+    record with no fields shows as the empty line, one empty lexeme."""
+    if not schema.fields and tuple(stream) == ("",):
+        stream = ()
     built, cursor = _staged(schema, _lexeme_chain)(stream, 0)
     if cursor != len(stream):
         raise TrailingInputError(
@@ -223,30 +226,31 @@ def parse_record(stream: Sequence[str], schema: RecordSchema):
     return finish(built)
 
 
-def _shown(spec: FieldSpec):
-    """The field's lexeme renderer.  Lexemes are space-separated and lines
-    end at a newline, so a shown string holds no space and no control
-    character."""
-    if spec.kind is not Kind.STR:
-        return render_value
+def _shown(spec: FieldSpec, t: type):
+    """The field's lexeme renderer: the lexeme of its checked value.
+    Lexemes are space-separated and lines end at a newline, so a shown
+    string holds no space and no control character; a real is finite."""
 
     def render(v):
-        if " " in v:
+        v = _checked(spec, t, v)
+        if t is str and " " in v:
             raise CodecError(f"field {spec.name!r} contains a space, not showable")
-        if CONTROL.search(v):
+        if t is str and CONTROL.search(v):
             raise CodecError(f"field {spec.name!r} contains a control character, not showable")
-        return render_value(v)
+        if t is float and not math.isfinite(v):
+            raise CodecError(f"field {spec.name!r} is not a finite real, not showable")
+        return str(v)  # render_value's lexeme: v is a plain bool, int, str or float
 
     return render
 
 
 def _lexeme_show(schema: RecordSchema):
-    return show_pipeline(schema.destruct, map(_shown, schema.fields))
+    return reduce(showa, map(_shown, schema.fields, schema.types), depure_show(schema.destruct))
 
 
 def _lexeme_show_cps(schema: RecordSchema):
-    seed = depure_show_cps(cps_destructor(schema.type_id))
-    return reduce(showa_cps, map(_shown, schema.fields), seed)
+    seed = depure_show_cps(cps_form(schema.destruct))
+    return reduce(showa_cps, map(_shown, schema.fields, schema.types), seed)
 
 
 def show_line(record, schema: RecordSchema, encoding: str) -> str:
@@ -287,7 +291,7 @@ def _bin_chunk(spec: FieldSpec, t: type, encode):
 def _binary_show(schema: RecordSchema):
     encoders = _per_field(_BINARY_ENCODERS, schema, "binary")
     chunks = map(_bin_chunk, schema.fields, schema.types, encoders)
-    return show_pipeline(schema.destruct, chunks)
+    return reduce(showa, chunks, depure_show(schema.destruct))
 
 
 def encode_binary(record, schema: RecordSchema) -> bytes:
@@ -365,7 +369,8 @@ def _named_pair(spec: FieldSpec, t: type):
 
 
 def _named_show(schema: RecordSchema):
-    return show_pipeline(schema.destruct, map(_named_pair, schema.fields, schema.types))
+    pairs = map(_named_pair, schema.fields, schema.types)
+    return reduce(showa, pairs, depure_show(schema.destruct))
 
 
 def to_named(record, schema: RecordSchema) -> str:

@@ -4,13 +4,15 @@ Pretty-printing (``showa``), record mapping (``mapa``), two-record zipping
 (``zipa``), the stack-machine operators (``push``/``pop``/``dup``), and the
 benchmark averaging application.  Every pipeline is a pure function from
 input record(s) to a (accumulator, field list[s]) state; the ``run_*``
-functions extract the final result.
+functions extract the final result.  Each one, the codecs' encoders
+included, is built by plugging: a ``depure_*`` seed, then one wrapper
+(``showa``, ``mapa``, ``zipa`` or a stack op) per step.
 """
 
 from functools import reduce
 from operator import add
 
-from .chop import Pipeline, and_then, chop, chop2, hom_wrap, hom_wrap0, hom_wrap2
+from .chop import and_then, chop, chop2, hom_wrap, hom_wrap0, hom_wrap2
 from .errors import ArityError, EmptyInputError
 from .records import (
     PLAIN_COPY,
@@ -56,18 +58,8 @@ def depure_show(destruct):
     return lambda r: ((), destruct(r))
 
 
-def _show_step(render):
-    return lambda s, a: (render(a), s)
-
-
 def showa(pipeline, render):
-    return hom_wrap(chop, pipeline, _show_step(render))
-
-
-def show_pipeline(destruct, renders):
-    """``depure_show(destruct)`` then ``showa`` with each of ``renders`` in
-    turn, built as one Pipeline with one tuple of steps."""
-    return Pipeline(depure_show(destruct), tuple((chop, _show_step(r)) for r in renders))
+    return hom_wrap(chop, pipeline, lambda s, a: (render(a), s))
 
 
 def run_show(state) -> str:
@@ -162,7 +154,7 @@ def dup(pipeline):
 def show_record(type_id):
     """Pretty-printing pipeline for any registered record type."""
     schema = schema_for(type_id)
-    return show_pipeline(schema.destruct, [render_value] * schema.arity)
+    return reduce(showa, [render_value] * schema.arity, depure_show(schema.destruct))
 
 
 #: The device demos' field functions, one per field, shared by both tracks.

@@ -4,8 +4,10 @@ An instance wraps a seeded pipeline together with a count of open ports
 (one per record field).  ``plug`` fills the next port with a piece handler
 and is the only way to advance an instance; ``run_instance`` extracts the
 result once every port is filled.  Each family delegates to its pipeline
-operator, so a plug chain and the directly-built pipeline are the same
-computation.
+seed and operator, so a plug chain and the directly-built pipeline are the
+same computation.  The four families (``mapper``, ``mapper_cps``,
+``shower`` and ``zipper``) are built once, at import, and each is called
+to make a new instance.
 
 There is deliberately no family-agnostic seed constructor: a generic one
 would leave plug chains ambiguous about which family they build.
@@ -13,18 +15,27 @@ would leave plug chains ambiguous about which family they build.
 
 from typing import Any, Callable, NamedTuple
 
-from . import pipelines, scott
 from .errors import ExhaustedError, OpenPortsError, PieceKindError
+from .pipelines import (
+    depure_map, depure_show, depure_zip, mapa, run_map, run_show, run_zip, showa, zipa
+)
 from .records import schema_for
+from .scott import depure_map_cps, mapa_cps, run_map_cps
 
 
 class Family(NamedTuple):
-    """What the instances of one family share; a plug never copies it."""
+    """What the instances of one family share; a plug never copies it.
+    Calling a family makes a new instance: ``seed_op(type_id, *destructs)``
+    seeds its pipeline, with one open port per field of ``type_id``."""
 
     name: str
     piece_kind: str
+    seed_op: Callable
     plug_op: Callable
     run_op: Callable
+
+    def __call__(self, type_id: str, *destructs) -> "PlugInstance":
+        return PlugInstance(self, self.seed_op(type_id, *destructs), schema_for(type_id).arity)
 
 
 class PlugInstance:
@@ -37,27 +48,11 @@ class PlugInstance:
         self.family, self.pipeline, self.steps_remaining = family, pipeline, steps_remaining
 
 
-def mapper(type_id: str, destruct) -> PlugInstance:
-    family = Family("mapper", "unary field function", pipelines.mapa, pipelines.run_map)
-    pipeline = pipelines.depure_map(type_id, destruct)
-    return PlugInstance(family, pipeline, schema_for(type_id).arity)
-
-
-def mapper_cps(type_id: str, destruct_cps) -> PlugInstance:
-    family = Family("mapper_cps", "unary field function", scott.mapa_cps, scott.run_map_cps)
-    pipeline = scott.depure_map_cps(type_id, destruct_cps)
-    return PlugInstance(family, pipeline, schema_for(type_id).arity)
-
-
-def shower(type_id: str, destruct) -> PlugInstance:
-    family = Family("shower", "renderer", pipelines.showa, pipelines.run_show)
-    return PlugInstance(family, pipelines.depure_show(destruct), schema_for(type_id).arity)
-
-
-def zipper(type_id: str, destruct_a, destruct_b) -> PlugInstance:
-    family = Family("zipper", "binary field function", pipelines.zipa, pipelines.run_zip)
-    pipeline = pipelines.depure_zip(type_id, destruct_a, destruct_b)
-    return PlugInstance(family, pipeline, schema_for(type_id).arity)
+# The four families, each built once; each is its instances' constructor.
+mapper = Family("mapper", "unary field function", depure_map, mapa, run_map)
+mapper_cps = Family("mapper_cps", "unary field function", depure_map_cps, mapa_cps, run_map_cps)
+shower = Family("shower", "renderer", lambda _, destruct: depure_show(destruct), showa, run_show)
+zipper = Family("zipper", "binary field function", depure_zip, zipa, run_zip)
 
 
 def plug(instance: PlugInstance, piece) -> PlugInstance:

@@ -27,9 +27,12 @@ from .records import Builder, apply_field, finish, list_fields, schema_for
 
 
 def cps_destructor(type_id):
-    """The continuation-passing destructor of a registered type, derived
-    from its field-list destructor: r -> lambda k: k(field1, ..., fieldN)."""
-    destruct = schema_for(type_id).destruct
+    """The continuation-passing destructor of a registered type."""
+    return cps_form(schema_for(type_id).destruct)
+
+
+def cps_form(destruct):
+    """A field-list destructor's CPS form: r -> lambda k: k(field1, ..., fieldN)."""
 
     def destruct_cps(r):
         values = list_fields(destruct(r))

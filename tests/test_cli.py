@@ -384,6 +384,20 @@ def test_stdio_is_strict_utf8_whatever_the_locale(env):
     assert run(["to-json", "--type", "benchmark"], line).stdout == line
 
 
+def test_an_undecodable_line_is_numbered_after_the_lines_before_it():
+    """Every line before the first one that is not UTF-8 is printed, and the
+    error names that line, however many lines the stdin buffer holds."""
+    line = (FIXTURES / "device.json").read_bytes()
+    proc = subprocess.run(
+        [sys.executable, "-m", "recplug", "to-json", "--type", "device"],
+        input=line * 1000 + b"\xff\n" + line,
+        capture_output=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == (GOLDENS / "to_json_device.golden").read_bytes() * 1000
+    assert proc.stderr == b"error: line 1001: stdin is not UTF-8: invalid start byte\n"
+
+
 @pytest.mark.parametrize("demo", ["map-demo", "zip-demo"])
 def test_demos_read_no_stdin(demo):
     """A demo exits while its stdin pipe is still open: it never reads."""
@@ -428,23 +442,28 @@ def valid_line(command, schema, values):
 
 @st.composite
 def boundary_stdin(draw, argv, how):
-    """Bytes for argv's stdin: arbitrary lines, or valid lines with up to 6
-    characters inserted or replaced at one offset ("mutated"), or with one
-    extra key whose text is rich in control characters ("extra-key")."""
-    if how == "arbitrary":
-        return draw(st.one_of(st.binary(), st.lists(noise_text).map("\n".join).map(str.encode)))
+    """Bytes for argv's stdin: up to 3 valid lines, then arbitrary bytes
+    ("arbitrary"), or 1 to 3 valid lines of which one has up to 6
+    characters inserted or replaced at one offset ("mutated") or one extra
+    key whose text is rich in control characters ("extra-key")."""
     schema = REGISTRY[argv[2]] if len(argv) == 3 else BENCHMARK_SCHEMA
-    lines = []
-    for _ in range(draw(st.integers(1, 3))):
-        line = valid_line(argv[0], schema, [draw(FIELD_VALUES[f.kind]) for f in schema.fields])
+    count = draw(st.integers(0 if how == "arbitrary" else 1, 3))
+    values = [[draw(FIELD_VALUES[f.kind]) for f in schema.fields] for _ in range(count)]
+    lines = [valid_line(argv[0], schema, v) for v in values]
+    if how != "arbitrary":
+        bad = draw(st.integers(0, count - 1))
+        line = lines[bad]
         if how == "mutated":
             at, chars = draw(st.integers(0, len(line))), draw(short_noise)
             line = line[:at] + chars + line[at + len(chars) if draw(st.booleans()) else at :]
         else:
             key = draw(extra_key)
             line = line[:-1] + "," + json.dumps(key, ensure_ascii=False) + ":1}"
-        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
-    return "".join(lines).encode()
+        lines[bad] = line
+    stdin = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines).encode()
+    if how == "arbitrary":
+        stdin += draw(st.one_of(st.binary(), st.lists(noise_text).map("\n".join).map(str.encode)))
+    return stdin
 
 
 @pytest.mark.parametrize("how", ["arbitrary", "mutated", "extra-key"])
@@ -459,7 +478,9 @@ def test_any_stdin_gives_an_exit_code_and_at_most_one_error_line(how, data):
     argv = data.draw(st.sampled_from(BOUNDARY_ARGVS), label="argv")
     stdin = data.draw(boundary_stdin(argv, how), label="stdin")
     out, err = io.StringIO(), io.StringIO()
-    with io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", errors="strict", newline="\n") as wrapped:
+    # stdin as the console script reads it: a byte that is not UTF-8 escaped.
+    wrapped = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", errors="surrogateescape", newline="\n")
+    with wrapped:
         with patch("sys.stdin", wrapped), redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     out, err = out.getvalue(), err.getvalue()
@@ -470,7 +491,7 @@ def test_any_stdin_gives_an_exit_code_and_at_most_one_error_line(how, data):
         assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1, err
     numbered = LINE_PREFIX.match(err)
     if code == 1 and numbered and argv[0] in TYPED_COMMANDS:
-        lines = list(io.StringIO(stdin.decode(), newline="\n"))[: int(numbered[1]) - 1]
+        lines = [raw.decode() for raw in list(io.BytesIO(stdin))[: int(numbered[1]) - 1]]
         alone = [call_main(argv, line) for line in lines]
         assert [c for c, _, _ in alone] == [0] * len(lines)
         assert out == "".join(printed for _, printed, _ in alone)

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,9 @@ from recplug.records import (
     EXAMPLE_DEVICE,
     I64_MAX,
     I64_MIN,
+    PLAIN_COPY,
     REGISTRY,
+    TYPE_OF,
     Benchmark,
     Builder,
     Device,
@@ -49,6 +52,7 @@ from recplug.records import (
     RecordSchema,
     apply_field,
     field_list,
+    kind_of,
     schema_for,
 )
 
@@ -65,6 +69,7 @@ from support import (
     ref_encode_binary,
     ref_from_named,
     ref_parse_record,
+    ref_show_line,
     ref_to_named,
     subclass_values,
 )
@@ -516,6 +521,19 @@ image_bytes = st.one_of(
 )
 
 
+#: show_line on each track, as a (record, schema) encoder.
+SHOW_LINES = (partial(show_line, encoding="lisp"), partial(show_line, encoding="scott"))
+
+
+def _shown_line_parses_back(values, schema):
+    """ref_show_line's line, if it has one, parses back to the record of the
+    values' plain copies (a bool is already plain)."""
+    done, line = _outcome(ref_show_line, schema.ctor(*values), schema)
+    if done == "ok":
+        plain = [v if type(v) is bool else PLAIN_COPY[TYPE_OF[kind_of(v)]](v) for v in values]
+        assert repr(parse_record(lexemes(line), schema)) == repr(schema.ctor(*plain))
+
+
 def _outcome(codec, arg, schema):
     """codec's value, or its error class and message.  The C decoder and the
     reference scanner word their MalformedJsonErrors differently, so only
@@ -540,6 +558,7 @@ def test_staged_codecs_match_unstaged_reference(data, schema, text, stream, imag
         (decode_binary, ref_decode_binary, image),
         (parse_record, ref_parse_record, stream),
         (parse_record, ref_parse_record, [render_value(v) for v in values]),
+        *((show, ref_show_line, record) for show in SHOW_LINES),
     ]
     # The record's own images, so that decoding also succeeds.
     for encode, decode, ref_decode in (
@@ -553,6 +572,7 @@ def test_staged_codecs_match_unstaged_reference(data, schema, text, stream, imag
         want = repr(_outcome(reference, arg, schema))
         assert repr(_outcome(staged, arg, schema)) == want
         assert repr(_outcome(staged, arg, schema)) == want
+    _shown_line_parses_back(values, schema)
 
 
 # Per kind: values that miss _checked's exact-type test, in and out of kind.
@@ -575,8 +595,10 @@ def test_encoders_match_reference_off_the_fast_path(data, schema):
     exact-type test; the encoders give the reference's output or error."""
     values = [data.draw(st.one_of(field_values[f.kind], off_fast_path[f.kind])) for f in schema.fields]
     record = schema.ctor(*values)
-    for staged, reference in ((to_named, ref_to_named), (encode_binary, ref_encode_binary)):
+    encoders = [(to_named, ref_to_named), (encode_binary, ref_encode_binary)]
+    for staged, reference in encoders + [(show, ref_show_line) for show in SHOW_LINES]:
         assert _outcome(staged, record, schema) == _outcome(reference, record, schema)
+    _shown_line_parses_back(values, schema)
 
 
 @pytest.mark.parametrize(

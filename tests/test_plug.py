@@ -142,3 +142,19 @@ def test_instances_are_immutable():
     assert base.steps_remaining == 3
     assert plugged.steps_remaining == 2
     assert base.pipeline is not plugged.pipeline
+
+
+@pytest.mark.parametrize(
+    "construct,destructs",
+    [
+        (mapper, (destructure_device,)),
+        (mapper_cps, (destructure_device_cps,)),
+        (shower, (destructure_device,)),
+        (zipper, (destructure_device, destructure_device)),
+    ],
+)
+def test_a_family_is_shared(construct, destructs):
+    """Every instance of a family, plugged or not, holds the same Family."""
+    first, second = construct("device", *destructs), construct("device", *destructs)
+    assert first.family is second.family
+    assert plug(first, lambda *v: v[0]).family is first.family
