@@ -7,14 +7,15 @@ yields the record after exactly arity applications.  A schema derives each
 field's exact type once, so a step checks a plain value with one ``type(v)
 is t`` test (and an inline i64 range test for an int); any other value, such
 as a subclass instance, takes the ``kind_of`` path, which gives every error.
+Records, field specs and schemas are ``NamedTuple`` types, not dataclasses,
+so importing recplug loads neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable, Union
+from typing import Any, Callable, NamedTuple, Union
 
 from .errors import ArityError, FieldTypeError, IntOverflowError, UnknownTypeError
 
@@ -63,15 +64,13 @@ def check_int_range(v: int) -> int:
 # Sample record types
 
 
-@dataclass(frozen=True)
-class Device:
+class Device(NamedTuple):
     block: bool
     major: int
     minor: int
 
 
-@dataclass(frozen=True)
-class Benchmark:
+class Benchmark(NamedTuple):
     """Two benchmarked runs: a measurement and a log per run.
 
     The app fields are polymorphic: int for raw outputs, float for
@@ -127,31 +126,40 @@ def field_count(fl: FieldList) -> int:
 # Schemas and the type registry
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple):
     name: str
     kind: Kind
 
 
-@dataclass(frozen=True)
-class RecordSchema:
+class _SchemaValue(NamedTuple):
+    type_id: str
+    ctor: Callable[..., Any]
+    destruct: Callable[[Any], FieldList]
+    fields: tuple[FieldSpec, ...]
+
+
+class RecordSchema(_SchemaValue):
     """The single source of truth for one record type.
 
     Everything schema-derived (builders, codecs, wire names) reads from
     this one entry; no type has a second field listing anywhere.
     """
 
-    type_id: str
-    ctor: Callable[..., Any]
-    destruct: Callable[[Any], FieldList]
-    fields: tuple[FieldSpec, ...]
-    #: The codecs staged from this schema by ``codecs``; not part of its value.
-    codec_plan: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
-    #: Each field's exact type, derived from its kind; not part of its value.
-    types: tuple = field(init=False, compare=False, hash=False, repr=False)
+    def __init__(self, *value):
+        seen = set()
+        for f in self.fields:
+            if not isinstance(f.kind, Kind):
+                raise ValueError(f"field {f.name!r} of {self.type_id}: {f.kind!r} is not a Kind")
+            if f.name in seen:  # its JSON object would repeat a key
+                raise ValueError(f"field name {f.name!r} of {self.type_id} is repeated")
+            seen.add(f.name)
+        #: The codecs staged from this schema by ``codecs``; not part of its value.
+        self.codec_plan = {}
+        #: Each field's exact type, derived from its kind; not part of its value.
+        self.types = tuple(TYPE_OF[f.kind] for f in self.fields)
 
-    def __post_init__(self):
-        object.__setattr__(self, "types", tuple(TYPE_OF[f.kind] for f in self.fields))
+    #: The inherited ``_make``, which ``_replace`` calls, would skip ``__init__``.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def arity(self) -> int:
@@ -175,17 +183,20 @@ def _pair_destructor(names: tuple[str, ...]) -> Callable[[Any], FieldList]:
 
 
 def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
-    """Declare the dataclass ``cls`` as record type ``type_id``.
+    """Declare ``cls`` as record type ``type_id``.
 
-    The fields of ``cls`` in declaration order give the field list; field i
-    has kind ``kinds[i]`` and is named ``wire_names[i]`` on the wire (the
-    attribute name when ``wire_names`` is empty).  The destructor is derived
-    from the same fields, and the schema is stored in ``REGISTRY``.  An id
-    that is already registered raises ValueError and changes nothing.
+    ``cls.__match_args__``, which a dataclass or a NamedTuple sets, names
+    the fields ``cls`` takes by position; in that order they give the field
+    list.  Field i has kind ``kinds[i]`` and is named ``wire_names[i]`` on
+    the wire (the attribute name when ``wire_names`` is empty).  The
+    destructor reads the same fields, and the schema is stored in
+    ``REGISTRY``.  A bad declaration raises and changes nothing.
     """
     if type_id in REGISTRY:
         raise ValueError(f"record type {type_id!r} is already registered")
-    names = tuple(f.name for f in fields(cls))
+    names = getattr(cls, "__match_args__", None)
+    if names is None:
+        raise TypeError(f"{cls!r} has no __match_args__: make it a dataclass or a NamedTuple")
     wires = wire_names or names
     specs = tuple(FieldSpec(w, k) for _, w, k in zip(names, wires, kinds, strict=True))
     schema = RecordSchema(type_id, cls, _pair_destructor(names), specs)

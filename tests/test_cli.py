@@ -257,6 +257,18 @@ def test_a_process_streams_every_line():
     assert proc.stderr.startswith(b"error: line 2: ") and proc.stderr.count(b"\n") == 1
 
 
+def test_no_start_loads_dataclasses_or_inspect():
+    """Importing every layer, or a whole CLI run, loads neither module.  Each
+    check runs in a new interpreter, because pytest imports both."""
+    check = "import recplug.cli, recplug.plug, sys; print({'dataclasses', 'inspect'} & set(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, check=True)
+    assert proc.stdout == "set()\n"
+    argv = [sys.executable, "-X", "importtime", "-m", "recplug", "map-demo"]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "recplug.cli" in imported and not {"dataclasses", "inspect"} & imported
+
+
 @pytest.mark.parametrize("fixture,type_name", [("device.json", "device"), ("benchmark.json", "benchmark")])
 def test_shell_round_trip(fixture, type_name):
     payload = (FIXTURES / fixture).read_bytes()

@@ -10,6 +10,8 @@ from recplug.errors import (
     UnknownTypeError,
 )
 from recplug.records import (
+    BENCHMARK_SCHEMA,
+    DEVICE_SCHEMA,
     EXAMPLE_DEVICE,
     I64_MAX,
     I64_MIN,
@@ -253,6 +255,30 @@ def test_positional_schema_derives_types():
         RecordSchema("kinds", tuple, list_fields, specs, {}, (int,) * 4)
     for schema in REGISTRY.values():
         assert len(schema.types) == schema.arity
+
+
+def test_every_way_to_make_a_schema_derives_types():
+    """``_make`` and ``_replace`` go through ``__init__``: the copy derives
+    its own types and gets its own codec plan."""
+    made = (
+        RecordSchema._make(BENCHMARK_SCHEMA),
+        DEVICE_SCHEMA._replace(fields=BENCHMARK_SCHEMA.fields),
+    )
+    for schema in made:
+        assert schema.types == (int, str, int, str)
+        assert schema.codec_plan == {} and schema.codec_plan is not BENCHMARK_SCHEMA.codec_plan
+
+
+def test_sample_records_are_immutable_named_tuples():
+    """Device and Benchmark print their fields by name, refuse a field
+    assignment, and each equals the tuple of its values."""
+    b = Benchmark(1, "a", 2.5, "b")
+    assert repr(EXAMPLE_DEVICE) == "Device(block=False, major=19, minor=1)"
+    assert repr(b) == "Benchmark(first_app=1, first_log='a', second_app=2.5, second_log='b')"
+    for record, name in ((EXAMPLE_DEVICE, "major"), (b, "first_log")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert (EXAMPLE_DEVICE, b) == ((False, 19, 1), (1, "a", 2.5, "b"))
 
 
 def test_builder_steps_share_their_prefix():

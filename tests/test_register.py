@@ -5,9 +5,11 @@ pipeline family, the plug instances, the three codecs and the CLI's
 import io
 import json
 import operator
+import re
 import struct
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import pytest
 
@@ -18,6 +20,7 @@ from recplug.codecs import (
     from_named,
     lexemes,
     parse_record,
+    show_line,
     to_named,
 )
 from recplug.pipelines import (
@@ -47,6 +50,19 @@ class Sensor:
     online: bool
     reading: int
     label: str
+
+
+class SensorRow(NamedTuple):
+    online: bool
+    reading: int
+    label: str
+
+
+class Plain:
+    """A class that names no positional fields: neither a dataclass nor a NamedTuple."""
+
+    def __init__(self, value):
+        self.value = value
 
 
 @dataclass(frozen=True)
@@ -165,6 +181,54 @@ def test_length_mismatch_raises(kinds, wire_names):
     with pytest.raises(ValueError):
         register("mismatch", Sensor, kinds, wire_names)
     assert "mismatch" not in REGISTRY
+
+
+def test_a_dataclass_and_a_namedtuple_register_alike():
+    """The same fields declared either way give the same wire forms, decode
+    to records of their own class, and map alike through a plug instance."""
+    seen = []
+    for cls in (Sensor, SensorRow):
+        schema = register("sensor", cls, SENSOR_KINDS, ("online", "reading", "tag"))
+        try:
+            r = cls(True, -7, 'q"\\é')
+            text, image = to_named(r, schema), encode_binary(r, schema)
+            line = show_line(r, schema, "lisp")
+            decoded = (
+                from_named(text, schema),
+                decode_binary(image, schema),
+                parse_record(lexemes(line), schema),
+            )
+            assert all(type(d) is cls and d == r for d in decoded)
+            instance = reduce(plug.plug, MAPS, plug.mapper("sensor", schema.destruct))
+            mapped = plug.run_instance(instance, r)
+            assert type(mapped) is cls
+            seen.append((text, image, line, schema.destruct(mapped)))
+        finally:
+            del REGISTRY["sensor"]
+    assert seen[0] == seen[1]
+    assert seen[0][0] == '{"online":true,"reading":-7,"tag":"q\\"\\\\é"}'
+    assert seen[0][3] == (False, (-21, ('Q"\\É', ())))
+
+
+@pytest.mark.parametrize(
+    "cls,kinds,wire_names,error,message",
+    [
+        # Its JSON object would repeat a key, which from_named rejects.
+        (Sensor, SENSOR_KINDS, ("online", "tag", "tag"), ValueError,
+         "field name 'tag' of bad is repeated"),
+        (Sensor, ("bool", "int", "str"), (), ValueError,
+         "field 'online' of bad: 'bool' is not a Kind"),
+        (Plain, (Kind.INT,), (), TypeError,
+         "has no __match_args__: make it a dataclass or a NamedTuple"),
+    ],
+    ids=["repeated-wire-name", "kind-not-a-Kind", "no-match-args"],
+)
+def test_a_bad_declaration_raises_and_registers_nothing(cls, kinds, wire_names, error, message):
+    before = dict(REGISTRY)
+    with pytest.raises(error, match=re.escape(message)) as caught:
+        register("bad", cls, kinds, wire_names)
+    assert "\n" not in str(caught.value)
+    assert REGISTRY == before
 
 
 def test_duplicate_id_raises(sensor):
