@@ -8,9 +8,11 @@ folds the JSON record on each line into one average, and the demos read
 no stdin.
 
 Records cross the process boundary as one flat JSON object per line;
-binary images cross as lowercase hex.  A line ends at "\n" or "\r\n".  The
-console script reads stdin and writes stdout as UTF-8 whatever the locale;
-a closed stdin reads as empty input.  Exit codes: 0 success, 1 domain
+binary images cross as lowercase hex.  A line ends at "\n" or "\r\n".
+`main` decodes each line of stdin's bytes as strict UTF-8, in process as
+at the console and whatever the locale; a text stdin with no bytes under
+it (a StringIO) counts as decoded, and a closed stdin as empty.  The
+console script writes stdout as UTF-8.  Exit codes: 0 success, 1 domain
 error or undecodable stdin (one-line diagnostic on stderr) or closed
 stdout, 2 usage error.  The first error on a line, a line that is not
 UTF-8 included, ends the run with "error: line N: <message>"; what lines 1
@@ -18,7 +20,6 @@ to N-1 printed stays on stdout.
 """
 
 import argparse
-import io
 import os
 import re
 import sys
@@ -28,8 +29,6 @@ from .errors import Error
 from .records import EXAMPLE_DEVICE, RecordSchema, schema_for
 
 _HEX_IMAGE = re.compile(r"(?:[0-9a-f]{2})*")
-#: What the console script's stdin decoder makes of a byte that is not UTF-8.
-_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 def _lexeme_record(line: str, schema: RecordSchema):
@@ -115,13 +114,14 @@ def main(argv=None) -> int:
 
     def lines():
         r"""Each line of stdin, read lazily, without its "\n" or "\r\n"; a
-        line that holds an escaped byte is an error with its number."""
+        line of bytes that is not UTF-8 is an error with its number."""
         nonlocal read
-        for read, line in enumerate(sys.stdin, 1):
-            if not line.isascii() and _ESCAPED.search(line):
+        raw = getattr(sys.stdin, "buffer", None)
+        for read, line in enumerate(raw or sys.stdin or (), 1):
+            if raw is not None:
                 try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeError as exc:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
                     raise Error(f"stdin is not UTF-8: {exc.reason}") from None
             yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
 
@@ -135,18 +135,12 @@ def main(argv=None) -> int:
     except Error as exc:
         print(f"error: line {read}: {exc}" if read else f"error: {exc}", file=sys.stderr)
         return 1
-    except UnicodeDecodeError as exc:
-        print(f"error: stdin is not UTF-8: {exc.reason}", file=sys.stderr)
-        return 1
     return 0
 
 
 def console_main() -> None:
     if sys.stdout is None:  # descriptor 1 is closed: nothing can be written
         raise SystemExit(1)
-    if sys.stdin is None:  # descriptor 0 is closed: it reads as empty input
-        sys.stdin = io.TextIOWrapper(io.BytesIO())
-    sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     sys.stdout.reconfigure(encoding="utf-8", errors="strict")
     try:
         code = main()

@@ -190,13 +190,19 @@ def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
     list.  Field i has kind ``kinds[i]`` and is named ``wire_names[i]`` on
     the wire (the attribute name when ``wire_names`` is empty).  The
     destructor reads the same fields, and the schema is stored in
-    ``REGISTRY``.  A bad declaration raises and changes nothing.
+    ``REGISTRY``.  A bad declaration, a keyword-only dataclass field
+    included, raises and changes nothing.
     """
     if type_id in REGISTRY:
         raise ValueError(f"record type {type_id!r} is already registered")
     names = getattr(cls, "__match_args__", None)
     if names is None:
         raise TypeError(f"{cls!r} has no __match_args__: make it a dataclass or a NamedTuple")
+    dc_fields = getattr(cls, "__dataclass_fields__", {}).values()
+    kw_only = [f.name for f in dc_fields if f.init and f.kw_only is True]
+    if kw_only:
+        raise ValueError(f"{cls.__name__} has keyword-only field(s) {kw_only}:"
+                         " register takes positional fields only")
     wires = wire_names or names
     specs = tuple(FieldSpec(w, k) for _, w, k in zip(names, wires, kinds, strict=True))
     schema = RecordSchema(type_id, cls, _pair_destructor(names), specs)
@@ -236,22 +242,20 @@ class Builder:
     """A record constructor applied one field at a time.
 
     ``Builder(schema, supplied)`` has the values ``supplied`` (a tuple in
-    field order) already applied.  They are kept as a persistent cons chain,
-    newest first, with a count, so ``apply_field`` adds one cell and copies
-    nothing, and ``finish`` unrolls the chain once.  Instances are never
-    mutated; two builders are equal when their schemas and supplied values
-    are.
+    field order) already applied, each by ``apply_field``.  They are kept as
+    a persistent cons chain, newest first, with a count, so ``apply_field``
+    adds one cell and copies nothing, and ``finish`` unrolls the chain once.
+    Instances are never mutated; two builders are equal when their schemas
+    and supplied values are.
     """
 
     __slots__ = ("schema", "_count", "_cells")
 
     def __init__(self, schema: RecordSchema, supplied: tuple = ()):
-        cells: FieldList = ()
+        self.schema, self._count, self._cells = schema, 0, ()
         for v in supplied:
-            cells = (v, cells)
-        self.schema = schema
-        self._count = len(supplied)
-        self._cells = cells
+            grown = apply_field(self, v)
+            self._count, self._cells = grown._count, grown._cells
 
     @property
     def supplied(self) -> tuple:

@@ -61,8 +61,13 @@ GOLDEN_CASES = [
 ]
 
 
-def run_cli(monkeypatch, capsys, argv, stdin_text=""):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+def utf8_stdin(text):
+    """A stdin like the console script's: a strict UTF-8 text layer over bytes."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+
+def run_cli(monkeypatch, capsys, argv, stdin_text="", reader=io.StringIO):
+    monkeypatch.setattr("sys.stdin", reader(stdin_text))
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
@@ -70,11 +75,14 @@ def run_cli(monkeypatch, capsys, argv, stdin_text=""):
 
 @pytest.mark.parametrize("golden,argv,fixture", GOLDEN_CASES)
 def test_golden_output(monkeypatch, capsys, golden, argv, fixture):
+    """main prints the golden whether stdin is text (a StringIO) or bytes
+    under a text layer, which main reads and decodes itself."""
     stdin_text = (FIXTURES / fixture).read_text() if fixture else ""
-    code, out, err = run_cli(monkeypatch, capsys, argv, stdin_text)
-    assert code == 0, err
-    assert out.encode() == (GOLDENS / golden).read_bytes()
-    assert err == ""
+    for reader in (io.StringIO, utf8_stdin):
+        code, out, err = run_cli(monkeypatch, capsys, argv, stdin_text, reader)
+        assert code == 0, err
+        assert out.encode() == (GOLDENS / golden).read_bytes()
+        assert err == ""
 
 
 @pytest.mark.parametrize("golden,argv,fixture", [case for case in GOLDEN_CASES if case[2]])
@@ -410,6 +418,27 @@ def test_an_undecodable_line_is_numbered_after_the_lines_before_it():
     assert proc.stderr == b"error: line 1001: stdin is not UTF-8: invalid start byte\n"
 
 
+def test_an_undecodable_line_is_numbered_in_process_too(monkeypatch, capsys):
+    """main reads the bytes under a strict UTF-8 text stdin a line at a time,
+    so an in-process run prints and numbers what the console script does."""
+    line = (FIXTURES / "device.json").read_bytes()
+    stdin = io.TextIOWrapper(io.BytesIO(line * 1000 + b"\xff\n" + line), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["to-json", "--type", "device"]) == 1
+    out, err = capsys.readouterr()
+    assert out.encode() == (GOLDENS / "to_json_device.golden").read_bytes() * 1000
+    assert err == "error: line 1001: stdin is not UTF-8: invalid start byte\n"
+
+
+def test_a_closed_stdin_reads_as_empty_in_process(monkeypatch, capsys):
+    """With no stdin at all (descriptor 0 closed), main reads zero lines."""
+    monkeypatch.setattr("sys.stdin", None)
+    assert main(["to-json", "--type", "device"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(["avg"]) == 1
+    assert capsys.readouterr() == ("", "error: average: need at least one benchmark\n")
+
+
 @pytest.mark.parametrize("demo", ["map-demo", "zip-demo"])
 def test_demos_read_no_stdin(demo):
     """A demo exits while its stdin pipe is still open: it never reads."""
@@ -490,8 +519,9 @@ def test_any_stdin_gives_an_exit_code_and_at_most_one_error_line(how, data):
     argv = data.draw(st.sampled_from(BOUNDARY_ARGVS), label="argv")
     stdin = data.draw(boundary_stdin(argv, how), label="stdin")
     out, err = io.StringIO(), io.StringIO()
-    # stdin as the console script reads it: a byte that is not UTF-8 escaped.
-    wrapped = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", errors="surrogateescape", newline="\n")
+    # stdin as the console script has it: bytes under a strict UTF-8 text
+    # layer.  main reads the bytes, so a line that is not UTF-8 is numbered.
+    wrapped = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
     with wrapped:
         with patch("sys.stdin", wrapped), redirect_stdout(out), redirect_stderr(err):
             code = main(argv)

@@ -125,6 +125,8 @@ def test_apply_field_on_full_builder():
     b = Builder(schema_for("device"), (True, 119, 201))
     with pytest.raises(ArityError):
         apply_field(b, 5)
+    with pytest.raises(ArityError, match="already has all 3 fields"):
+        Builder(schema_for("device"), (False, 19, 1, 7))
 
 
 def test_apply_field_kind_mismatch():
@@ -138,6 +140,9 @@ def test_apply_field_kind_mismatch():
         apply_field(Builder(schema_for("device")), XInt(7))
     with pytest.raises(FieldTypeError, match=r"expects int, got str \('many'\)$"):
         apply_field(b, XStr("many"))
+    # Values supplied to the constructor are checked as apply_field checks them.
+    with pytest.raises(FieldTypeError, match=r"'block' of device expects bool, got str \('x'\)$"):
+        Builder(schema_for("device"), ("x", 19, 1))
 
 
 def test_apply_field_int_range():

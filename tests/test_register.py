@@ -7,9 +7,9 @@ import json
 import operator
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import pytest
 
@@ -73,6 +73,16 @@ class Solo:
 @dataclass(frozen=True)
 class Empty:
     pass
+
+
+@dataclass(frozen=True)
+class Gauge:
+    """Keyword-only fields, which no field list can carry, and a class variable."""
+
+    level: int
+    unit: str = field(kw_only=True)
+    scale: int = field(default=1, kw_only=True)
+    limit: ClassVar[int] = 9
 
 
 SENSOR_KINDS = (Kind.BOOL, Kind.INT, Kind.STR)
@@ -220,8 +230,11 @@ def test_a_dataclass_and_a_namedtuple_register_alike():
          "field 'online' of bad: 'bool' is not a Kind"),
         (Plain, (Kind.INT,), (), TypeError,
          "has no __match_args__: make it a dataclass or a NamedTuple"),
+        # A decoded record would hold scale's default, and lack unit.
+        (Gauge, (Kind.INT,), (), ValueError,
+         "Gauge has keyword-only field(s) ['unit', 'scale']: register takes positional fields only"),
     ],
-    ids=["repeated-wire-name", "kind-not-a-Kind", "no-match-args"],
+    ids=["repeated-wire-name", "kind-not-a-Kind", "no-match-args", "keyword-only-fields"],
 )
 def test_a_bad_declaration_raises_and_registers_nothing(cls, kinds, wire_names, error, message):
     before = dict(REGISTRY)
