@@ -1,14 +1,16 @@
 """Codecs generated from one field schema per record type.
 
 Three wire forms share the schema registry entry: a space-separated lexeme
-line (shown by a pair-track or a CPS show pipeline, parsed back by an
-applicative chain; a shown string holds no space and no control character),
+line (shown by a pair-track or a CPS show pipeline, parsed back by a
+parser pipeline; a shown string holds no space and no control character),
 a binary image, and a flat named-field JSON subset.  Encoders are chop
-pipelines over the destructured record; decoders are applicative chains
-of primitive parsers over a cursor.  A parser maps ``(src, pos)`` to a
-``(value, cursor)`` pair or raises its typed CodecError.  Chains and
-pipelines depend on the schema alone, so each is staged on first use into
-the schema's ``codec_plan``, and every later call runs that same value.
+pipelines over the destructured record.  Decoders are ``chop.Pipeline``s
+too: ``p_pure(Builder(schema))`` seeds the state ``(acc, src, cursor)``
+and ``p_ap`` plugs each field's primitive parser after it.  A primitive
+maps ``(src, pos)`` to a ``(value, cursor)`` pair or raises its typed
+CodecError.  Pipelines depend on the schema alone, so each is staged on
+first use into the schema's ``codec_plan``, and every later call runs that
+same value.
 Each per-field check tests the field's exact type (``schema.types``); only
 a miss runs ``kind_of``, and a subclass value is copied to that type.
 
@@ -40,6 +42,7 @@ from functools import reduce
 from json.encoder import encode_basestring
 from typing import Callable, Sequence
 
+from .chop import hom_wrap
 from .errors import (
     CodecError,
     ExtraKeyError,
@@ -69,7 +72,8 @@ from .records import (
 )
 from .scott import cps_form, depure_show_cps, run_show_cps, showa_cps
 
-#: (src, pos) -> (value, cursor); a parser that fails raises a CodecError.
+#: A primitive parser, (src, pos) -> (value, cursor), which raises a
+#: CodecError when it fails; ``p_ap`` plugs it into a parser pipeline.
 Parser = Callable[[Sequence, int], tuple]
 
 #: The characters no string may hold raw on a text track.
@@ -117,41 +121,23 @@ def _checked(spec: FieldSpec, t: type, v):
     return PLAIN_COPY[t](v)
 
 
-def p_pure(v) -> Parser:
-    return lambda src, pos: (v, pos)
+def p_pure(v):
+    """The parser pipeline's seed: ``v`` as the accumulator, nothing read."""
+    return lambda src, pos: (v, src, pos)
 
 
-class ApChain:
-    """An applicative chain as data: ``head`` then each of ``parsers``, run
-    left to right in one loop.  Every parsed value is applied to the
-    accumulated one (a Builder or a function); the first error raised
-    short-circuits.  Instances are never mutated."""
-
-    __slots__ = ("head", "parsers")
-
-    def __init__(self, head: Parser, parsers: tuple):
-        self.head = head
-        self.parsers = parsers
-
-    def __call__(self, src, pos) -> tuple:
-        acc, pos = self.head(src, pos)
-        for parser in self.parsers:
-            v, pos = parser(src, pos)
-            acc = apply_field(acc, v) if isinstance(acc, Builder) else acc(v)
-        return acc, pos
+def _ap(state, pa: Parser) -> tuple:
+    """One parser step: run ``pa`` at the cursor and apply its value to the
+    accumulator (a Builder or a function)."""
+    acc, src, pos = state
+    v, pos = pa(src, pos)
+    return (apply_field(acc, v) if isinstance(acc, Builder) else acc(v)), src, pos
 
 
-def p_ap(pf: Parser, pa: Parser) -> Parser:
-    """Run pf then pa left to right; apply pf's result (a Builder or a
-    function) to pa's value.  The first error short-circuits."""
-    if isinstance(pf, ApChain):
-        return ApChain(pf.head, pf.parsers + (pa,))
-    return ApChain(pf, (pa,))
-
-
-def _chain(table: dict, form: str) -> Callable:
-    """A decoder's stage: ``table``'s primitives after the empty Builder."""
-    return lambda schema: ApChain(p_pure(Builder(schema)), _per_field(table, schema, form))
+def p_ap(pf, pa: Parser):
+    """``pf <*> pa``: the parser pipeline ``pf`` with ``pa`` plugged after
+    it.  Steps run left to right; the first error short-circuits."""
+    return hom_wrap(_ap, pf, pa)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +196,11 @@ def p_real(src, pos):
 
 
 _LEXEME_PRIMITIVES = {Kind.BOOL: p_bool, Kind.INT: p_int, Kind.STR: p_str, Kind.REAL: p_real}
-_lexeme_chain = _chain(_LEXEME_PRIMITIVES, "lexeme")
+
+
+def _lexeme_parse(schema: RecordSchema):
+    parsers = _per_field(_LEXEME_PRIMITIVES, schema, "lexeme")
+    return reduce(p_ap, parsers, p_pure(Builder(schema)))
 
 
 def parse_record(stream: Sequence[str], schema: RecordSchema):
@@ -218,7 +208,7 @@ def parse_record(stream: Sequence[str], schema: RecordSchema):
     record with no fields shows as the empty line, one empty lexeme."""
     if not schema.fields and tuple(stream) == ("",):
         stream = ()
-    built, cursor = _staged(schema, _lexeme_chain)(stream, 0)
+    built, _, cursor = _staged(schema, _lexeme_parse)(stream, 0)
     if cursor != len(stream):
         raise TrailingInputError(
             f"{len(stream) - cursor} unconsumed lexeme(s) at position {cursor}"
@@ -328,12 +318,16 @@ def _b_str(data, pos):
 
 
 _BINARY_PRIMITIVES = {Kind.BOOL: _b_bool, Kind.INT: _b_int, Kind.STR: _b_str}
-_binary_chain = _chain(_BINARY_PRIMITIVES, "binary")
+
+
+def _binary_parse(schema: RecordSchema):
+    parsers = _per_field(_BINARY_PRIMITIVES, schema, "binary")
+    return reduce(p_ap, parsers, p_pure(Builder(schema)))
 
 
 def decode_binary(image: bytes, schema: RecordSchema):
     """Strict inverse of encode_binary: every byte must be consumed."""
-    built, cursor = _staged(schema, _binary_chain)(image, 0)
+    built, _, cursor = _staged(schema, _binary_parse)(image, 0)
     if cursor != len(image):
         raise TrailingBytesError(
             f"{len(image) - cursor} unconsumed byte(s) at offset {cursor}"

@@ -152,6 +152,8 @@ class RecordSchema(_SchemaValue):
                 raise ValueError(f"field {f.name!r} of {self.type_id}: {f.kind!r} is not a Kind")
             if f.name in seen:  # its JSON object would repeat a key
                 raise ValueError(f"field name {f.name!r} of {self.type_id} is repeated")
+            if any("\ud800" <= c <= "\udfff" for c in f.name):  # a lone surrogate
+                raise ValueError(f"field name {f.name!r} of {self.type_id} has no UTF-8 image")
             seen.add(f.name)
         #: The codecs staged from this schema by ``codecs``; not part of its value.
         self.codec_plan = {}
@@ -190,8 +192,8 @@ def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
     list.  Field i has kind ``kinds[i]`` and is named ``wire_names[i]`` on
     the wire (the attribute name when ``wire_names`` is empty).  The
     destructor reads the same fields, and the schema is stored in
-    ``REGISTRY``.  A bad declaration, a keyword-only dataclass field
-    included, raises and changes nothing.
+    ``REGISTRY``.  A bad declaration, a keyword-only or InitVar dataclass
+    field included, raises and changes nothing.
     """
     if type_id in REGISTRY:
         raise ValueError(f"record type {type_id!r} is already registered")
@@ -203,6 +205,11 @@ def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
     if kw_only:
         raise ValueError(f"{cls.__name__} has keyword-only field(s) {kw_only}:"
                          " register takes positional fields only")
+    # dataclasses' own mark of an InitVar, which a string annotation gets too
+    init_vars = [f.name for f in dc_fields if f._field_type.name == "_FIELD_INITVAR"]
+    if init_vars:
+        raise ValueError(f"{cls.__name__} has InitVar field(s) {init_vars}:"
+                         " __init__ takes them but no instance stores them")
     wires = wire_names or names
     specs = tuple(FieldSpec(w, k) for _, w, k in zip(names, wires, kinds, strict=True))
     schema = RecordSchema(type_id, cls, _pair_destructor(names), specs)

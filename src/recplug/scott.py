@@ -22,7 +22,7 @@ from functools import reduce
 
 from .chop import hom_wrap
 from .errors import ContinuationShapeError
-from .pipelines import DEVICE_MAPS, DEVICE_ZIPS, render_value
+from .pipelines import DEVICE_MAPS, DEVICE_ZIPS
 from .records import Builder, apply_field, finish, list_fields, schema_for
 
 
@@ -222,11 +222,6 @@ def run_zip3_cps(state):
 
 # ---------------------------------------------------------------------------
 # Demo pipelines mirroring the pair track.
-
-
-def show_record_cps(type_id):
-    renders = [render_value] * schema_for(type_id).arity
-    return reduce(showa_cps, renders, depure_show_cps(cps_destructor(type_id)))
 
 
 def map_device_demo_cps():

@@ -19,10 +19,8 @@ from recplug.codecs import (
     _b_str,
     _e_str,
     _out_of_range,
-    p_ap,
     p_bool,
     p_int,
-    p_pure,
     p_real,
     p_str,
 )
@@ -424,11 +422,23 @@ def _ref_per_field(table, schema, form):
     return [table[f.kind] for f in schema.fields]
 
 
+# The reference ``pure`` and ``<*>``: nested closures over (value, cursor)
+# pairs, the form the parser pipeline replaced, sharing none of its code.
+def ref_pure(v):
+    return lambda src, pos: (v, pos)
+
+
+def nested_p_ap(pf, pa):
+    def run(src, pos):
+        step, pos = pf(src, pos)
+        v, pos = pa(src, pos)
+        return (apply_field(step, v) if isinstance(step, Builder) else step(v)), pos
+
+    return run
+
+
 def _ref_chain(table, schema, form):
-    parser = p_pure(Builder(schema))
-    for primitive in _ref_per_field(table, schema, form):
-        parser = p_ap(parser, primitive)
-    return parser
+    return reduce(nested_p_ap, _ref_per_field(table, schema, form), ref_pure(Builder(schema)))
 
 
 def ref_parse_record(stream, schema):

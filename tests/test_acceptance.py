@@ -97,9 +97,9 @@ def test_criterion_2_track_equivalence():
         rng = random.Random(1002)
         for _ in range(500):
             da, db = random_device(rng), random_device(rng)
-            assert scott.run_show_cps(
-                scott.show_record_cps("device")(da)
-            ) == pipelines.run_show(pipelines.show_record("device")(da))
+            assert codecs.show_line(da, DEVICE, "scott") == pipelines.run_show(
+                pipelines.show_record("device")(da)
+            )
             assert scott.run_map_cps(
                 scott.map_device_demo_cps()(da)
             ) == pipelines.run_map(pipelines.map_device_demo()(da))
@@ -110,9 +110,9 @@ def test_criterion_2_track_equivalence():
         zip_pairs, zip_cps = _benchmark_zip_tracks()
         for _ in range(200):
             ba, bb = random_benchmark(rng), random_benchmark(rng)
-            assert scott.run_show_cps(
-                scott.show_record_cps("benchmark")(ba)
-            ) == pipelines.run_show(pipelines.show_record("benchmark")(ba))
+            assert codecs.show_line(ba, BENCHMARK, "scott") == pipelines.run_show(
+                pipelines.show_record("benchmark")(ba)
+            )
             assert scott.run_map_cps(map_cps(ba)) == pipelines.run_map(map_pairs(ba))
             assert scott.run_zip_cps(zip_cps(ba, bb)) == pipelines.run_zip(
                 zip_pairs(ba, bb)

@@ -1,6 +1,6 @@
 import json
 import random
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from recplug.codecs import (
     _BINARY_PRIMITIVES,
     _LEXEME_PRIMITIVES,
-    ApChain,
     decode_binary,
     encode_binary,
     from_named,
@@ -23,6 +22,7 @@ from recplug.codecs import (
     show_line,
     to_named,
 )
+from recplug.chop import Pipeline
 from recplug.errors import (
     CodecError,
     Error,
@@ -50,7 +50,6 @@ from recplug.records import (
     FieldSpec,
     Kind,
     RecordSchema,
-    apply_field,
     field_list,
     kind_of,
     schema_for,
@@ -64,11 +63,13 @@ from support import (
     XInt,
     XReal,
     XStr,
+    nested_p_ap,
     random_device,
     ref_decode_binary,
     ref_encode_binary,
     ref_from_named,
     ref_parse_record,
+    ref_pure,
     ref_show_line,
     ref_to_named,
     subclass_values,
@@ -94,8 +95,8 @@ control_text = st.text(st.one_of(st.characters(max_codepoint=0x1F), st.character
 
 
 def test_p_pure():
-    assert p_pure(7)(["x"], 0) == (7, 0)
-    assert p_pure(7)([], 0) == (7, 0)
+    assert p_pure(7)(["x"], 0) == (7, ["x"], 0)
+    assert p_pure(7)([], 0) == (7, [], 0)
 
 
 def test_p_bool():
@@ -133,8 +134,10 @@ def test_p_ap_chain():
     parser = p_pure(Builder(DEVICE))
     for prim in (p_bool, p_int, p_int):
         parser = p_ap(parser, prim)
-    value, cursor = parser(["False", "19", "1"], 0)
+    stream = ["False", "19", "1"]
+    value, src, cursor = parser(stream, 0)
     assert value.supplied == (False, 19, 1)
+    assert src is stream
     assert cursor == 3
 
 
@@ -155,8 +158,9 @@ def test_p_ap_identity_step():
     streams = (["x"], ["False", "y"], [""])
     for src in streams:
         direct = p_str(src, 0)
-        wrapped = p_ap(p_pure(lambda v: v), p_str)(src, 0)
-        assert wrapped == direct
+        acc, rest, cursor = p_ap(p_pure(lambda v: v), p_str)(src, 0)
+        assert (acc, cursor) == direct
+        assert rest is src
 
 
 def test_parse_record():
@@ -404,25 +408,26 @@ def test_one_schema_entry_per_type():
         assert len({f.name for f in schema.fields}) == schema.arity
 
 
-# The nested-closure p_ap that ApChain replaced, kept as the reference.
-def nested_p_ap(pf, pa):
+def _projected(pipeline):
+    """A parser pipeline as a (value, cursor) parser: ``src``, which every
+    step hands on unchanged, projected out."""
+
     def run(src, pos):
-        step, pos = pf(src, pos)
-        v, pos = pa(src, pos)
-        return (apply_field(step, v) if isinstance(step, Builder) else step(v)), pos
+        acc, rest, cursor = pipeline(src, pos)
+        assert rest is src
+        return acc, cursor
 
     return run
 
 
 def chains(primitives, kinds):
-    """The applicative chain over kinds, built flat and nested."""
+    """The parser pipeline over kinds, and the nested reference chain."""
     specs = tuple(FieldSpec(f"f{i}", k) for i, k in enumerate(kinds))
     schema = RecordSchema("chain", tuple, None, specs)
-    flat = nested = p_pure(Builder(schema))
-    for k in kinds:
-        flat, nested = p_ap(flat, primitives[k]), nested_p_ap(nested, primitives[k])
-    assert isinstance(flat, ApChain) == bool(kinds)
-    return flat, nested
+    parsers = [primitives[k] for k in kinds]
+    flat = reduce(p_ap, parsers, p_pure(Builder(schema)))
+    assert isinstance(flat, Pipeline) == bool(kinds)
+    return _projected(flat), reduce(nested_p_ap, parsers, ref_pure(Builder(schema)))
 
 
 def _run(parser, src, start):

@@ -5,15 +5,19 @@ import dataclasses
 import json
 import random
 import struct
+from functools import reduce
 
 import pytest
 
 from recplug import plug
 from recplug.codecs import (
+    _LEXEME_PRIMITIVES,
     decode_binary,
     encode_binary,
     from_named,
     lexemes,
+    p_ap,
+    p_pure,
     parse_record,
     to_named,
 )
@@ -28,7 +32,7 @@ from recplug.pipelines import (
     show_record,
     zipa,
 )
-from recplug.records import Kind
+from recplug.records import Builder, Kind, finish
 
 from support import WIDE_MAPS as MAPS, WIDE_ZIPS as ZIPS, random_wide, registered_wide
 
@@ -89,5 +93,9 @@ def test_codecs_round_trip_at_depth(wide):
     assert image == ref_binary(schema, values)
     assert decode_binary(image, schema) == a
 
-    line = run_show(show_record(schema.type_id)(a))
-    assert parse_record(lexemes(line), schema) == a
+    stream = lexemes(run_show(show_record(schema.type_id)(a)))
+    assert parse_record(stream, schema) == a
+
+    parsers = [_LEXEME_PRIMITIVES[f.kind] for f in schema.fields]
+    built, src, cursor = reduce(p_ap, parsers, p_pure(Builder(schema)))(stream, 0)
+    assert (finish(built), src, cursor) == (a, stream, len(stream))

@@ -7,7 +7,7 @@ import json
 import operator
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import reduce
 from typing import ClassVar, NamedTuple
 
@@ -40,8 +40,6 @@ from recplug.scott import (
     depure_map_cps,
     mapa_cps,
     run_map_cps,
-    run_show_cps,
-    show_record_cps,
 )
 
 
@@ -85,6 +83,16 @@ class Gauge:
     limit: ClassVar[int] = 9
 
 
+@dataclass(frozen=True)
+class Scaled:
+    """Positional InitVars, which __init__ takes but no instance stores; the
+    second one is spelled as a string annotation."""
+
+    level: int
+    factor: InitVar[int]
+    offset: "InitVar[int]"
+
+
 SENSOR_KINDS = (Kind.BOOL, Kind.INT, Kind.STR)
 MAPS = (operator.not_, lambda x: x * 3, str.upper)
 ZIPS = (operator.or_, operator.sub, operator.add)
@@ -115,7 +123,7 @@ def test_pipelines_and_plug_instances(sensor):
     d, d_cps = sensor.destruct, cps_destructor("sensor")
 
     assert run_show(show_record("sensor")(a)) == "True 5 ab"
-    assert run_show_cps(show_record_cps("sensor")(a)) == "True 5 ab"
+    assert show_line(a, sensor, "scott") == "True 5 ab"
 
     mapped = Sensor(False, 15, "AB")
     assert run_map(reduce(mapa, MAPS, depure_map("sensor", d))(a)) == mapped
@@ -168,7 +176,7 @@ def test_one_and_zero_field_types():
         assert solo.destruct(Solo(3)) == (3, ())
         assert [f.name for f in solo.fields] == ["value"]
         assert run_show(show_record("solo")(Solo(3))) == "3"
-        assert run_show_cps(show_record_cps("solo")(Solo(3))) == "3"
+        assert show_line(Solo(3), solo, "scott") == "3"
         assert from_named(to_named(Solo(3), solo), solo) == Solo(3)
         assert to_named(Solo(3), solo) == '{"value":3}'
         assert empty.destruct(Empty()) == ()
@@ -233,8 +241,16 @@ def test_a_dataclass_and_a_namedtuple_register_alike():
         # A decoded record would hold scale's default, and lack unit.
         (Gauge, (Kind.INT,), (), ValueError,
          "Gauge has keyword-only field(s) ['unit', 'scale']: register takes positional fields only"),
+        # to_named would read the InitVars, which no Scaled instance has.
+        (Scaled, (Kind.INT,) * 3, (), ValueError,
+         "Scaled has InitVar field(s) ['factor', 'offset']:"
+         " __init__ takes them but no instance stores them"),
+        # Its JSON key could not be written to a UTF-8 stdout.
+        (Solo, (Kind.INT,), ("\ud800",), ValueError,
+         "field name '\\ud800' of bad has no UTF-8 image"),
     ],
-    ids=["repeated-wire-name", "kind-not-a-Kind", "no-match-args", "keyword-only-fields"],
+    ids=["repeated-wire-name", "kind-not-a-Kind", "no-match-args", "keyword-only-fields",
+         "initvar-fields", "wire-name-not-utf8"],
 )
 def test_a_bad_declaration_raises_and_registers_nothing(cls, kinds, wire_names, error, message):
     before = dict(REGISTRY)

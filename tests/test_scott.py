@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 
 from recplug import plug
+from recplug.codecs import show_line
 from recplug.errors import ContinuationShapeError, UnknownTypeError
 from recplug.pipelines import (
     depure_zip,
@@ -46,7 +47,6 @@ from recplug.scott import (
     run_show_cps,
     run_zip3_cps,
     run_zip_cps,
-    show_record_cps,
     showa_cps,
     zip_device_demo_cps,
     zipa3_cps,
@@ -139,8 +139,8 @@ def test_showa_cps_single_field():
 
 
 def test_show_device_cps_matches_pair_track():
-    assert run_show_cps(show_record_cps("device")(EXAMPLE_DEVICE)) == "False 19 1"
-    assert run_show_cps(show_record_cps("device")(EXAMPLE_DEVICE)) == run_show(
+    assert show_line(EXAMPLE_DEVICE, schema_for("device"), "scott") == "False 19 1"
+    assert show_line(EXAMPLE_DEVICE, schema_for("device"), "scott") == run_show(
         show_record("device")(EXAMPLE_DEVICE)
     )
 
@@ -312,7 +312,7 @@ def test_track_equivalence_on_random_devices():
     rng = random.Random(31)
     for _ in range(50):
         d = random_device(rng)
-        assert run_show_cps(show_record_cps("device")(d)) == run_show(
+        assert show_line(d, schema_for("device"), "scott") == run_show(
             show_record("device")(d)
         )
         assert run_map_cps(map_device_demo_cps()(d)) == run_map(map_device_demo()(d))
@@ -327,7 +327,7 @@ def test_track_equivalence_on_random_benchmarks():
     rng = random.Random(37)
     for _ in range(25):
         b = random_benchmark(rng)
-        assert run_show_cps(show_record_cps("benchmark")(b)) == run_show(
+        assert show_line(b, schema_for("benchmark"), "scott") == run_show(
             show_record("benchmark")(b)
         )
 
