@@ -84,7 +84,7 @@ class Pipeline:
         return state
 
 
-def _extend(pipeline, chopper, step) -> Pipeline:
+def hom_wrap(chopper, pipeline, step) -> Pipeline:
     wrapped = object.__new__(Pipeline)
     wrapped._prior, wrapped._last = pipeline, (chopper, step)
     if isinstance(pipeline, Pipeline):
@@ -98,12 +98,8 @@ def _unary(state, chopper):
     return chopper(state)
 
 
-def hom_wrap(chopper, pipeline, step):
-    return _extend(pipeline, chopper, step)
-
-
 def hom_wrap0(chopper, pipeline):
-    return _extend(pipeline, _unary, chopper)
+    return hom_wrap(_unary, pipeline, chopper)
 
 
 #: A two-record chopper wraps exactly as a one-record one does.

@@ -90,25 +90,6 @@ EXAMPLE_DEVICE = Device(block=False, major=19, minor=1)
 # Field-list plumbing
 
 
-def cons(v: Value, rest: FieldList) -> FieldList:
-    return (v, rest)
-
-
-def uncons(fl: FieldList) -> tuple[Value, FieldList]:
-    if fl == ():
-        raise ArityError("uncons", 0, "uncons: empty field list")
-    head, tail = fl
-    return head, tail
-
-
-def field_list(*values: Value) -> FieldList:
-    """Build a field list from values in order: field_list(1, 2) == (1, (2, ()))."""
-    out: FieldList = ()
-    for v in reversed(values):
-        out = (v, out)
-    return out
-
-
 def list_fields(fl: FieldList) -> list:
     """Flatten a field list back into a plain list, in field order."""
     out = []
@@ -146,6 +127,8 @@ class RecordSchema(_SchemaValue):
     """
 
     def __init__(self, *value):
+        if any("\ud800" <= c <= "\udfff" for c in self.type_id):  # a lone surrogate
+            raise ValueError(f"type id {self.type_id!r} has no UTF-8 image")
         seen = set()
         for f in self.fields:
             if not isinstance(f.kind, Kind):
@@ -279,10 +262,6 @@ class Builder:
 
     def __repr__(self):
         return f"Builder(schema={self.schema!r}, supplied={self.supplied!r})"
-
-
-def builder_new(type_id: str) -> Builder:
-    return Builder(schema_for(type_id))
 
 
 def apply_field(b: Builder, v: Value) -> Builder:

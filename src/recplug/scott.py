@@ -42,7 +42,6 @@ def cps_form(destruct):
 
 
 destructure_device_cps = cps_destructor("device")
-destructure_benchmark_cps = cps_destructor("benchmark")
 
 
 def cons_cps(s, rest):

@@ -55,6 +55,15 @@ from recplug.records import (
 )
 from recplug.scott import cps_destructor
 
+
+def field_list(*values):
+    """Build a field list from values in order: field_list(1, 2) == (1, (2, ()))."""
+    out = ()
+    for v in reversed(values):
+        out = (v, out)
+    return out
+
+
 # Headroom so the demo arithmetic (+100, +200, pairwise and three-way sums)
 # cannot leave the 64-bit signed range.
 SAFE_INT = 2**61

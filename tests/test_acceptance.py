@@ -23,11 +23,10 @@ from recplug.records import (
     Device,
     destructure_benchmark,
     destructure_device,
-    field_list,
     schema_for,
 )
 
-from support import random_benchmark, random_device
+from support import field_list, random_benchmark, random_device
 from test_cli import FIXTURES, GOLDEN_CASES, GOLDENS
 
 DEVICE = schema_for("device")
@@ -72,7 +71,7 @@ def _benchmark_map_tracks():
         lambda s: s + "!",
     ]
     by_pairs = pipelines.depure_map("benchmark", destructure_benchmark)
-    by_cps = scott.depure_map_cps("benchmark", scott.destructure_benchmark_cps)
+    by_cps = scott.depure_map_cps("benchmark", scott.cps_destructor("benchmark"))
     for f in steps:
         by_pairs = pipelines.mapa(by_pairs, f)
         by_cps = scott.mapa_cps(by_cps, f)
@@ -83,9 +82,8 @@ def _benchmark_zip_tracks():
     by_pairs = pipelines.depure_zip(
         "benchmark", destructure_benchmark, destructure_benchmark
     )
-    by_cps = scott.depure_zip_cps(
-        "benchmark", scott.destructure_benchmark_cps, scott.destructure_benchmark_cps
-    )
+    destruct_cps = scott.cps_destructor("benchmark")
+    by_cps = scott.depure_zip_cps("benchmark", destruct_cps, destruct_cps)
     for _ in range(4):
         by_pairs = pipelines.zipa(by_pairs, lambda a, b: a + b)
         by_cps = scott.zipa_cps(by_cps, lambda a, b: a + b)

@@ -22,9 +22,10 @@ from recplug.records import (
     Builder,
     apply_field,
     destructure_device,
-    field_list,
     schema_for,
 )
+
+from support import field_list
 
 # The fixed step pool for brute-force law checks: prepend, drop,
 # arithmetic, and boolean-flavored ops over int fields and accumulators.

@@ -50,7 +50,6 @@ from recplug.records import (
     FieldSpec,
     Kind,
     RecordSchema,
-    field_list,
     kind_of,
     schema_for,
 )
@@ -63,6 +62,7 @@ from support import (
     XInt,
     XReal,
     XStr,
+    field_list,
     nested_p_ap,
     random_device,
     ref_decode_binary,

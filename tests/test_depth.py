@@ -24,7 +24,10 @@ from recplug.codecs import (
 from recplug.pipelines import (
     depure_map,
     depure_zip,
+    dup,
     mapa,
+    pop,
+    push,
     render_value,
     run_map,
     run_show,
@@ -32,7 +35,7 @@ from recplug.pipelines import (
     show_record,
     zipa,
 )
-from recplug.records import Builder, Kind, finish
+from recplug.records import EXAMPLE_DEVICE, Builder, Kind, destructure_device, finish
 
 from support import WIDE_MAPS as MAPS, WIDE_ZIPS as ZIPS, random_wide, registered_wide
 
@@ -99,3 +102,17 @@ def test_codecs_round_trip_at_depth(wide):
     parsers = [_LEXEME_PRIMITIVES[f.kind] for f in schema.fields]
     built, src, cursor = reduce(p_ap, parsers, p_pure(Builder(schema)))(stream, 0)
     assert (finish(built), src, cursor) == (a, stream, len(stream))
+
+
+def test_stack_ops_at_depth():
+    """hom_wrap0's pop and dup and hom_wrap's push, each 5000 deep, undo
+    each other: the seed's own state comes back."""
+    seed = depure_map("device", destructure_device)
+    dup_pop = seed
+    for _ in range(5000):
+        dup_pop = pop(dup(dup_pop))
+    push_pop = reduce(push, range(5000), seed)
+    for _ in range(5000):
+        push_pop = pop(push_pop)
+    assert dup_pop(EXAMPLE_DEVICE) == seed(EXAMPLE_DEVICE)
+    assert push_pop(EXAMPLE_DEVICE) == seed(EXAMPLE_DEVICE)

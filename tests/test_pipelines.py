@@ -43,11 +43,10 @@ from recplug.records import (
     Device,
     destructure_benchmark,
     destructure_device,
-    field_list,
     schema_for,
 )
 
-from support import random_benchmark, random_device
+from support import field_list, random_benchmark, random_device
 
 MAPPED_DEVICE = Device(True, 119, 201)  # map demo output, checked below
 

@@ -7,7 +7,6 @@ from recplug.errors import (
     Error,
     FieldTypeError,
     IntOverflowError,
-    UnknownTypeError,
 )
 from recplug.records import (
     BENCHMARK_SCHEMA,
@@ -23,17 +22,13 @@ from recplug.records import (
     Kind,
     RecordSchema,
     apply_field,
-    builder_new,
-    cons,
     destructure_benchmark,
     destructure_device,
     field_count,
-    field_list,
     finish,
     kind_of,
     list_fields,
     schema_for,
-    uncons,
 )
 
 from support import XInt, XStr, ref_apply_field, ref_finish, subclass_values
@@ -75,24 +70,6 @@ def test_benchmark_round_trip_through_builder(b):
     assert rebuild(b, "benchmark") == b
 
 
-def test_cons_definition():
-    assert cons(5, ()) == (5, ())
-    assert cons(True, (7, ())) == (True, (7, ()))
-
-
-@given(int64, st.lists(int64, max_size=4))
-def test_uncons_inverts_cons(v, rest_values):
-    rest = field_list(*rest_values)
-    assert uncons(cons(v, rest)) == (v, rest)
-
-
-def test_uncons_examples():
-    assert uncons(field_list(19, 1)) == (19, (1, ()))
-    assert uncons(field_list(False)) == (False, ())
-    with pytest.raises(ArityError):
-        uncons(())
-
-
 def test_destructure_preserves_field_count():
     for type_id, record in (
         ("device", EXAMPLE_DEVICE),
@@ -100,13 +77,6 @@ def test_destructure_preserves_field_count():
     ):
         schema = schema_for(type_id)
         assert field_count(schema.destruct(record)) == schema.arity
-
-
-def test_builder_new():
-    assert builder_new("device") == Builder(schema_for("device"))
-    assert builder_new("benchmark") == Builder(schema_for("benchmark"))
-    with pytest.raises(UnknownTypeError):
-        builder_new("gadget")
 
 
 def test_apply_field_definition():

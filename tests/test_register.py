@@ -229,33 +229,38 @@ def test_a_dataclass_and_a_namedtuple_register_alike():
 
 
 @pytest.mark.parametrize(
-    "cls,kinds,wire_names,error,message",
+    "type_id,cls,kinds,wire_names,error,message",
     [
         # Its JSON object would repeat a key, which from_named rejects.
-        (Sensor, SENSOR_KINDS, ("online", "tag", "tag"), ValueError,
+        ("bad", Sensor, SENSOR_KINDS, ("online", "tag", "tag"), ValueError,
          "field name 'tag' of bad is repeated"),
-        (Sensor, ("bool", "int", "str"), (), ValueError,
+        ("bad", Sensor, ("bool", "int", "str"), (), ValueError,
          "field 'online' of bad: 'bool' is not a Kind"),
-        (Plain, (Kind.INT,), (), TypeError,
+        ("bad", Plain, (Kind.INT,), (), TypeError,
          "has no __match_args__: make it a dataclass or a NamedTuple"),
         # A decoded record would hold scale's default, and lack unit.
-        (Gauge, (Kind.INT,), (), ValueError,
+        ("bad", Gauge, (Kind.INT,), (), ValueError,
          "Gauge has keyword-only field(s) ['unit', 'scale']: register takes positional fields only"),
         # to_named would read the InitVars, which no Scaled instance has.
-        (Scaled, (Kind.INT,) * 3, (), ValueError,
+        ("bad", Scaled, (Kind.INT,) * 3, (), ValueError,
          "Scaled has InitVar field(s) ['factor', 'offset']:"
          " __init__ takes them but no instance stores them"),
         # Its JSON key could not be written to a UTF-8 stdout.
-        (Solo, (Kind.INT,), ("\ud800",), ValueError,
+        ("bad", Solo, (Kind.INT,), ("\ud800",), ValueError,
          "field name '\\ud800' of bad has no UTF-8 image"),
+        # argparse could not write it among --type's choices to a UTF-8 stdout.
+        ("bad\ud800", Solo, (Kind.INT,), (), ValueError,
+         "type id 'bad\\ud800' has no UTF-8 image"),
     ],
     ids=["repeated-wire-name", "kind-not-a-Kind", "no-match-args", "keyword-only-fields",
-         "initvar-fields", "wire-name-not-utf8"],
+         "initvar-fields", "wire-name-not-utf8", "type-id-not-utf8"],
 )
-def test_a_bad_declaration_raises_and_registers_nothing(cls, kinds, wire_names, error, message):
+def test_a_bad_declaration_raises_and_registers_nothing(
+    type_id, cls, kinds, wire_names, error, message
+):
     before = dict(REGISTRY)
     with pytest.raises(error, match=re.escape(message)) as caught:
-        register("bad", cls, kinds, wire_names)
+        register(type_id, cls, kinds, wire_names)
     assert "\n" not in str(caught.value)
     assert REGISTRY == before
 

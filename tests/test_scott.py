@@ -35,11 +35,11 @@ from recplug.scott import (
     chop3_cps,
     chop_cps,
     cons_cps,
+    cps_destructor,
     depure_map_cps,
     depure_show_cps,
     depure_zip3_cps,
     depure_zip_cps,
-    destructure_benchmark_cps,
     destructure_device_cps,
     map_device_demo_cps,
     mapa_cps,
@@ -91,7 +91,7 @@ def test_destructure_device_cps():
 
 def test_destructure_benchmark_cps():
     bench = Benchmark(10, "a", 20, "b")
-    v = destructure_benchmark_cps(bench)
+    v = cps_destructor("benchmark")(bench)
     assert v(collect) == [10, "a", 20, "b"]
     assert v(lambda a, b, c, d: b + d) == "ab"
     builder = Builder(schema_for("benchmark"))
