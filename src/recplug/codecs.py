@@ -38,9 +38,9 @@ import math
 import os
 import re
 import struct
+from collections.abc import Callable, Sequence
 from functools import reduce
 from json.encoder import encode_basestring
-from typing import Callable, Sequence
 
 from .chop import hom_wrap
 from .errors import (

@@ -13,7 +13,7 @@ There is deliberately no family-agnostic seed constructor: a generic one
 would leave plug chains ambiguous about which family they build.
 """
 
-from typing import Any, Callable, NamedTuple
+from collections import namedtuple
 
 from .errors import ExhaustedError, OpenPortsError, PieceKindError
 from .pipelines import (
@@ -23,29 +23,24 @@ from .records import schema_for
 from .scott import depure_map_cps, mapa_cps, run_map_cps
 
 
-class Family(NamedTuple):
+class Family(namedtuple("Family", "name piece_kind seed_op plug_op run_op")):
     """What the instances of one family share; a plug never copies it.
     Calling a family makes a new instance: ``seed_op(type_id, *destructs)``
-    seeds its pipeline, with one open port per field of ``type_id``."""
+    seeds its pipeline, with one open port per field of ``type_id``.
+    ``plug_op(pipeline, piece)`` wraps it, and ``run_op`` reads a run's
+    result."""
 
-    name: str
-    piece_kind: str
-    seed_op: Callable
-    plug_op: Callable
-    run_op: Callable
+    __slots__ = ()
 
     def __call__(self, type_id: str, *destructs) -> "PlugInstance":
         return PlugInstance(self, self.seed_op(type_id, *destructs), schema_for(type_id).arity)
 
 
-class PlugInstance:
+class PlugInstance(namedtuple("PlugInstance", "family pipeline steps_remaining")):
     """A seeded pipeline, its family and its count of open ports.  Plugging
-    copies three references.  Instances are never mutated."""
+    copies three references into a new instance; a tuple is never mutated."""
 
-    __slots__ = ("family", "pipeline", "steps_remaining")
-
-    def __init__(self, family: Family, pipeline: Callable, steps_remaining: int):
-        self.family, self.pipeline, self.steps_remaining = family, pipeline, steps_remaining
+    __slots__ = ()
 
 
 # The four families, each built once; each is its instances' constructor.
@@ -65,7 +60,7 @@ def plug(instance: PlugInstance, piece) -> PlugInstance:
     return PlugInstance(family, family.plug_op(instance.pipeline, piece), remaining - 1)
 
 
-def run_instance(instance: PlugInstance, *records) -> Any:
+def run_instance(instance: PlugInstance, *records) -> object:
     if instance.steps_remaining:
         raise OpenPortsError(
             f"{instance.family.name}: {instance.steps_remaining} port(s) still open"

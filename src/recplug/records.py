@@ -7,19 +7,20 @@ yields the record after exactly arity applications.  A schema derives each
 field's exact type once, so a step checks a plain value with one ``type(v)
 is t`` test (and an inline i64 range test for an int); any other value, such
 as a subclass instance, takes the ``kind_of`` path, which gives every error.
-Records, field specs and schemas are ``NamedTuple`` types, not dataclasses,
-so importing recplug loads neither ``dataclasses`` nor ``inspect``.
+Records, field specs and schemas are ``collections.namedtuple`` classes, so
+importing recplug loads none of ``dataclasses``, ``inspect`` and ``typing``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple, Union
 
 from .errors import ArityError, FieldTypeError, IntOverflowError, UnknownTypeError
 
-Value = Union[bool, int, str, float]
+Value = bool | int | str | float
 
 #: Field lists are plain nested pairs; () is the terminator.
 FieldList = tuple
@@ -64,23 +65,20 @@ def check_int_range(v: int) -> int:
 # Sample record types
 
 
-class Device(NamedTuple):
-    block: bool
-    major: int
-    minor: int
+class Device(namedtuple("Device", "block major minor")):
+    """A device number: ``block`` (bool), ``major`` and ``minor`` (int)."""
+
+    __slots__ = ()
 
 
-class Benchmark(NamedTuple):
+class Benchmark(namedtuple("Benchmark", "first_app first_log second_app second_log")):
     """Two benchmarked runs: a measurement and a log per run.
 
-    The app fields are polymorphic: int for raw outputs, float for
-    averages, str for space-joined argv inputs.
+    The logs are str.  The app fields are polymorphic (a ``Value``): int for
+    raw outputs, float for averages, str for space-joined argv inputs.
     """
 
-    first_app: Value
-    first_log: str
-    second_app: Value
-    second_log: str
+    __slots__ = ()
 
 
 EXAMPLE_DEVICE = Device(block=False, major=19, minor=1)
@@ -107,23 +105,19 @@ def field_count(fl: FieldList) -> int:
 # Schemas and the type registry
 
 
-class FieldSpec(NamedTuple):
-    name: str
-    kind: Kind
+class FieldSpec(namedtuple("FieldSpec", "name kind")):
+    """One field's wire ``name`` (str) and its ``kind`` (a ``Kind``)."""
+
+    __slots__ = ()
 
 
-class _SchemaValue(NamedTuple):
-    type_id: str
-    ctor: Callable[..., Any]
-    destruct: Callable[[Any], FieldList]
-    fields: tuple[FieldSpec, ...]
-
-
-class RecordSchema(_SchemaValue):
+class RecordSchema(namedtuple("RecordSchema", "type_id ctor destruct fields")):
     """The single source of truth for one record type.
 
-    Everything schema-derived (builders, codecs, wire names) reads from
-    this one entry; no type has a second field listing anywhere.
+    ``ctor`` builds a record from its fields by position, ``destruct`` maps
+    a record to its field list, and ``fields`` holds one ``FieldSpec`` per
+    field.  Everything schema-derived (builders, codecs, wire names) reads
+    from this one entry; no type has a second field listing anywhere.
     """
 
     def __init__(self, *value):
@@ -154,7 +148,7 @@ class RecordSchema(_SchemaValue):
 REGISTRY: dict[str, RecordSchema] = {}
 
 
-def _pair_destructor(names: tuple[str, ...]) -> Callable[[Any], FieldList]:
+def _pair_destructor(names: tuple[str, ...]) -> Callable[[object], FieldList]:
     """r -> the field list of r's attributes ``names``, in order."""
     getters = [attrgetter(n) for n in reversed(names)]
 
@@ -170,13 +164,14 @@ def _pair_destructor(names: tuple[str, ...]) -> Callable[[Any], FieldList]:
 def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
     """Declare ``cls`` as record type ``type_id``.
 
-    ``cls.__match_args__``, which a dataclass or a NamedTuple sets, names
-    the fields ``cls`` takes by position; in that order they give the field
-    list.  Field i has kind ``kinds[i]`` and is named ``wire_names[i]`` on
-    the wire (the attribute name when ``wire_names`` is empty).  The
-    destructor reads the same fields, and the schema is stored in
-    ``REGISTRY``.  A bad declaration, a keyword-only or InitVar dataclass
-    field included, raises and changes nothing.
+    ``cls.__match_args__``, which a dataclass, a ``collections.namedtuple``
+    and a ``typing.NamedTuple`` set, names the fields ``cls`` takes by
+    position; in that order they give the field list.  Field i has kind
+    ``kinds[i]`` and is named ``wire_names[i]`` on the wire (the attribute
+    name when ``wire_names`` is empty).  The destructor reads the same
+    fields, and the schema is stored in ``REGISTRY``.  A bad declaration, a
+    keyword-only or InitVar dataclass field included, raises and changes
+    nothing.
     """
     if type_id in REGISTRY:
         raise ValueError(f"record type {type_id!r} is already registered")
@@ -286,7 +281,7 @@ def apply_field(b: Builder, v: Value) -> Builder:
     return grown
 
 
-def finish(b: Builder) -> Any:
+def finish(b: Builder) -> object:
     missing = b.schema.arity - b._count
     if missing:
         raise ArityError(

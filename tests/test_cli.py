@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import io
 import json
 import os
@@ -5,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import typing
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
@@ -13,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recplug import pipelines
+from recplug import pipelines, register
 from recplug.cli import main
-from recplug.codecs import encode_binary, from_named, to_named
+from recplug.codecs import CONTROL, encode_binary, from_named, to_named
 from recplug.errors import CodecError
 from recplug.records import BENCHMARK_SCHEMA, I64_MAX, I64_MIN, REGISTRY, Benchmark, Kind
 
@@ -275,6 +278,35 @@ def test_no_start_loads_dataclasses_or_inspect():
     proc = subprocess.run(argv, capture_output=True, text=True, check=True)
     imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
     assert "recplug.cli" in imported and not {"dataclasses", "inspect"} & imported
+
+
+#: The standard modules recplug imports; a start's baseline loads them first.
+RECPLUG_STDLIB = "argparse json re enum struct math operator functools collections"
+#: A python -S child (no site hook preloads a module) that imports every
+#: layer and runs map-demo, then writes to stderr main's exit code and the
+#: modules that recplug's own import added.
+TYPING_CHECK = f"""
+import sys
+sys.path.insert(0, sys.argv[1])
+import {", ".join(RECPLUG_STDLIB.split())}
+before = set(sys.modules)
+import recplug.chop, recplug.cli, recplug.codecs, recplug.errors
+import recplug.pipelines, recplug.plug, recplug.records, recplug.scott
+code = recplug.cli.main(["map-demo"])
+print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+
+def test_no_start_loads_typing():
+    """Every value type is a collections.namedtuple, so no start of recplug
+    loads typing.  The baseline is taken after the standard modules recplug
+    uses, so a stdlib that loads typing itself does not count."""
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", TYPING_CHECK, src],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == (GOLDENS / "map_demo.golden").read_text()
+    code, *added = proc.stderr.split()
+    assert code == "0" and "recplug.cli" in added and "typing" not in added
 
 
 @pytest.mark.parametrize("fixture,type_name", [("device.json", "device"), ("benchmark.json", "benchmark")])
@@ -539,3 +571,80 @@ def test_any_stdin_gives_an_exit_code_and_at_most_one_error_line(how, data):
         assert out == "".join(printed for _, printed, _ in alone)
     elif code == 1:
         assert out == ""
+
+
+GENERATED = "generated"
+#: A wire name may hold quotes, backslashes, control characters, non-ASCII
+#: text and lone surrogates, or be empty; repeats are drawn often.
+wire_name = st.text(
+    st.one_of(
+        st.sampled_from('"\\ab'),
+        st.characters(max_codepoint=0x1F),
+        st.characters(min_codepoint=0x80),
+        st.characters(categories=["Cs"]),
+    ),
+    max_size=3,
+)
+#: String values, some with a space or a control character that show refuses.
+GENERATED_VALUES = {**FIELD_VALUES, Kind.STR: st.one_of(FIELD_VALUES[Kind.STR], utf8_text, st.just("a b"))}
+
+
+def declare(form, attrs):
+    """A record class with positional fields ``attrs``, declared as ``form``."""
+    if form == "namedtuple":
+        return collections.namedtuple("Generated", attrs)
+    if form == "NamedTuple":
+        return typing.NamedTuple("Generated", [(a, object) for a in attrs])
+    return dataclasses.make_dataclass("Generated", attrs, frozen=True)
+
+
+def one_error(result):
+    code, out, err = result
+    return code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_generated_declaration_round_trips_or_is_refused(data):
+    """Any declaration register admits survives every typed command in
+    process: to-json, from-json, encode-bin then decode-bin, show on both
+    tracks then parse give back the JSON line exactly, or exit 1 with one
+    `error: ` line where the wire form has no image of the record.  A
+    declaration register refuses raises ValueError and registers nothing."""
+    kinds = data.draw(st.lists(st.sampled_from(Kind), max_size=8), label="kinds")
+    attrs = [f"f{i}" for i in range(len(kinds))]
+    cls = declare(data.draw(st.sampled_from(["namedtuple", "NamedTuple", "dataclass"]), label="form"), attrs)
+    wires = data.draw(st.one_of(st.just(()), st.lists(wire_name, min_size=len(kinds), max_size=len(kinds))))
+    surrogate = any("\ud800" <= c <= "\udfff" for w in wires for c in w)
+    before = dict(REGISTRY)
+    try:
+        schema = register(GENERATED, cls, kinds, wires)
+    except ValueError:
+        assert surrogate or len(set(wires)) < len(wires)
+        assert REGISTRY == before
+        return
+    try:
+        assert not surrogate and len(set(wires or attrs)) == len(kinds)
+        values = [data.draw(GENERATED_VALUES[k]) for k in kinds]
+        line = to_named(cls(*values), schema)
+
+        def typed(command, stdin, *options):
+            return call_main([command, "--type", GENERATED, *options], stdin + "\n")
+
+        for command in ("to-json", "from-json"):
+            assert typed(command, line) == (0, line + "\n", "")
+        encoded = typed("encode-bin", line)
+        if Kind.REAL in kinds:  # a real has no binary form
+            assert one_error(encoded)
+        else:
+            assert encoded[0::2] == (0, "")
+            assert typed("decode-bin", encoded[1].rstrip("\n")) == (0, line + "\n", "")
+        shown = [typed("show", line, "--encoding", track) for track in ("lisp", "scott")]
+        assert shown[0] == shown[1]
+        if any(isinstance(v, str) and (" " in v or CONTROL.search(v)) for v in values):
+            assert one_error(shown[0])
+        else:
+            assert shown[0][0::2] == (0, "")
+            assert typed("parse", shown[0][1].rstrip("\n")) == (0, line + "\n", "")
+    finally:
+        REGISTRY.pop(GENERATED, None)

@@ -7,6 +7,7 @@ import json
 import operator
 import re
 import struct
+from collections import namedtuple
 from dataclasses import InitVar, dataclass, field
 from functools import reduce
 from typing import ClassVar, NamedTuple
@@ -34,7 +35,7 @@ from recplug.pipelines import (
     show_record,
     zipa,
 )
-from recplug.records import REGISTRY, Kind
+from recplug.records import DEVICE_SCHEMA, REGISTRY, FieldSpec, Kind, RecordSchema
 from recplug.scott import (
     cps_destructor,
     depure_map_cps,
@@ -54,6 +55,9 @@ class SensorRow(NamedTuple):
     online: bool
     reading: int
     label: str
+
+
+SensorTuple = namedtuple("SensorTuple", "online reading label")
 
 
 class Plain:
@@ -202,10 +206,11 @@ def test_length_mismatch_raises(kinds, wire_names):
 
 
 def test_a_dataclass_and_a_namedtuple_register_alike():
-    """The same fields declared either way give the same wire forms, decode
-    to records of their own class, and map alike through a plug instance."""
+    """The same fields declared as a dataclass, a typing.NamedTuple or a
+    collections.namedtuple give the same wire forms, decode to records of
+    their own class, and map alike through a plug instance."""
     seen = []
-    for cls in (Sensor, SensorRow):
+    for cls in (Sensor, SensorRow, SensorTuple):
         schema = register("sensor", cls, SENSOR_KINDS, ("online", "reading", "tag"))
         try:
             r = cls(True, -7, 'q"\\é')
@@ -223,7 +228,7 @@ def test_a_dataclass_and_a_namedtuple_register_alike():
             seen.append((text, image, line, schema.destruct(mapped)))
         finally:
             del REGISTRY["sensor"]
-    assert seen[0] == seen[1]
+    assert seen[0] == seen[1] == seen[2]
     assert seen[0][0] == '{"online":true,"reading":-7,"tag":"q\\"\\\\é"}'
     assert seen[0][3] == (False, (-21, ('Q"\\É', ())))
 
@@ -285,3 +290,25 @@ def test_package_exports_register_and_each_module_keeps_its_name():
     assert (recplug.__all__, exported) == (["register"], register)
     assert chop_module.Pipeline.__module__ == "recplug.chop"
     assert callable(chop_module.hom_wrap)
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"fields": (FieldSpec("a", Kind.INT), FieldSpec("a", Kind.STR))},
+         "field name 'a' of device is repeated"),
+        ({"fields": (FieldSpec("a", "int"),)}, "field 'a' of device: 'int' is not a Kind"),
+        ({"type_id": "d\ud800"}, "type id 'd\\ud800' has no UTF-8 image"),
+    ],
+    ids=["repeated-wire-name", "kind-not-a-Kind", "type-id-not-utf8"],
+)
+def test_make_and_replace_validate_as_the_constructor_does(change, message):
+    """``RecordSchema`` is a namedtuple, whose inherited ``_make`` (which
+    ``_replace`` calls) would build a schema without running ``__init__``."""
+    values = tuple({**DEVICE_SCHEMA._asdict(), **change}.values())
+    for build in (lambda: RecordSchema(*values), lambda: RecordSchema._make(values),
+                  lambda: DEVICE_SCHEMA._replace(**change)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+    renamed = DEVICE_SCHEMA._replace(type_id="device2")
+    assert (renamed.types, renamed.codec_plan) == (DEVICE_SCHEMA.types, {})
