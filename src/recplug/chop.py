@@ -53,28 +53,33 @@ def chop3(state, step):
 
 class Pipeline:
     """A reader pipeline as data: a seed and the (chopper, step) pairs
-    plugged after it, built only by the ``hom_wrap`` wrappers.
+    plugged after it, built by the ``hom_wrap`` wrappers and, as
+    ``scott.CpsChain``, by the CPS choppers.
 
     Running it on ``*records`` equals the nested closures
     ``chopper_n(... chopper_1(seed(*records), step_1) ..., step_n)``, run
     as one loop over the flat ``steps`` tuple, so the Python stack stays
-    flat at any arity.  Wrapping a pipeline is O(1): the new one keeps the
-    pipeline it wraps and its one new step, and ``steps`` flattens that
-    chain once, the first time it is read, and caches the tuple.  Nothing
-    else is ever written; wrapping a pipeline returns a new one.
+    flat at any arity.  ``Pipeline(prior, last)`` is O(1): it keeps
+    ``prior`` and one new step; its seed is ``prior``'s if ``prior`` is of
+    its own class, else ``prior``.  ``steps`` walks back to the seed once,
+    on first read, and caches the tuple; nothing else is ever written.
     """
 
-    __slots__ = ("seed", "_steps", "_prior", "_last")
+    __slots__ = ("seed", "_prior", "_last", "_steps")
+
+    def __init__(self, prior, last):
+        self.seed = prior.seed if type(prior) is type(self) else prior
+        self._prior, self._last, self._steps = prior, last, None
 
     @property
     def steps(self) -> tuple:
         if self._steps is None:
-            newest, p = [], self
-            while p._steps is None:
+            newest, p, cls = [], self, type(self)
+            while type(p) is cls:
                 newest.append(p._last)
                 p = p._prior
             newest.reverse()
-            self._steps = p._steps + tuple(newest)
+            self._steps = tuple(newest)
         return self._steps
 
     def __call__(self, *records):
@@ -85,13 +90,7 @@ class Pipeline:
 
 
 def hom_wrap(chopper, pipeline, step) -> Pipeline:
-    wrapped = object.__new__(Pipeline)
-    wrapped._prior, wrapped._last = pipeline, (chopper, step)
-    if isinstance(pipeline, Pipeline):
-        wrapped.seed, wrapped._steps = pipeline.seed, None
-    else:  # a seed: the first step
-        wrapped.seed, wrapped._steps = pipeline, (wrapped._last,)
-    return wrapped
+    return Pipeline(pipeline, (chopper, step))
 
 
 def _unary(state, chopper):

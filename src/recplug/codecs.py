@@ -88,6 +88,12 @@ def _out_of_range(literal: str) -> str:
     return f"integer out of 64-bit signed range: {literal}"
 
 
+def _excerpt(text: str) -> str:
+    """A diagnostic's echo of input: the repr of ``text``, or of its first
+    40 characters and its length, so a long line gives a short message."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}… ({len(text)} characters)"
+
+
 def _per_field(table: dict, schema: RecordSchema, form: str) -> tuple:
     """``table``'s primitive for each field of ``schema``, in field order;
     the one place a wire form's kind support is decided."""
@@ -164,13 +170,13 @@ def p_bool(src, pos):
         return False, pos + 1
     if lex == "True":
         return True, pos + 1
-    raise ParseError(f"expected 'False' or 'True', got {lex!r}", pos)
+    raise ParseError(f"expected 'False' or 'True', got {_excerpt(lex)}", pos)
 
 
 def p_int(src, pos):
     lex = _lexeme_at(src, pos, "an integer")
     if not _INT_RE.fullmatch(lex) or lex == "-0":
-        raise ParseError(f"not a canonical integer: {lex!r}", pos)
+        raise ParseError(f"not a canonical integer: {_excerpt(lex)}", pos)
     if len(lex) > _I64_DIGITS or not I64_MIN <= (v := int(lex)) <= I64_MAX:
         raise ParseError(_out_of_range(lex), pos)
     return v, pos + 1
@@ -179,7 +185,7 @@ def p_int(src, pos):
 def p_str(src, pos):
     lex = _lexeme_at(src, pos, "a string")
     if CONTROL.search(lex):
-        raise ParseError(f"control character in string: {lex!r}", pos)
+        raise ParseError(f"control character in string: {_excerpt(lex)}", pos)
     return lex, pos + 1
 
 
@@ -191,7 +197,7 @@ def p_real(src, pos):
         v = math.nan
     # Exactly what render_value prints for a finite float.
     if not math.isfinite(v) or repr(v) != lex:
-        raise ParseError(f"not a canonical finite real: {lex!r}", pos)
+        raise ParseError(f"not a canonical finite real: {_excerpt(lex)}", pos)
     return v, pos + 1
 
 
@@ -402,14 +408,14 @@ def _named_pairs(text: str) -> dict:
         t = type(v)
         spell = _SPELLINGS.get(t)
         if spell is None:  # null, an array or an object
-            raise MalformedJsonError(f"key {k!r} holds no bool, int, str or real")
+            raise MalformedJsonError(f"key {_excerpt(k)} holds no bool, int, str or real")
         if t is int and not I64_MIN <= v <= I64_MAX:
             raise MalformedJsonError(_out_of_range(str(v)))
         spelled.append(encode_basestring(k) + ":" + spell(v))
         if t is _RealLiteral and not math.isfinite(v := float(v)):
-            raise MalformedJsonError(f"real at key {k!r} overflows")
+            raise MalformedJsonError(f"real at key {_excerpt(k)} overflows")
         if k in named:
-            raise MalformedJsonError(f"duplicate key {k!r}")
+            raise MalformedJsonError(f"duplicate key {_excerpt(k)}")
         named[k] = v
     canonical = "{" + ",".join(spelled) + "}"
     if canonical != text:
@@ -427,7 +433,7 @@ def from_named(text: str, schema: RecordSchema):
     pairs = _named_pairs(text)
     extra = pairs.keys() - _staged(schema, _wire_names)
     if extra:
-        raise ExtraKeyError(f"unexpected key(s): {', '.join(map(repr, sorted(extra)))}")
+        raise ExtraKeyError(f"unexpected key(s): {', '.join(map(_excerpt, sorted(extra)))}")
     values = []  # no Builder: kinds, ranges and arity are all checked already
     for f, t in zip(schema.fields, schema.types):
         if f.name not in pairs:

@@ -12,15 +12,16 @@ then each record in order.  Right-nesting makes the first record's fields
 unreachable, so it is not supported; feeding such a state to a chopper
 raises ContinuationShapeError.
 
-Each chopper returns a flat :class:`CpsChain` node rather than a nested
-continuation.  Running a state walks its chain once and applies the steps
-in one loop, so a CPS pipeline takes time linear in its arity and has no
-depth limit.  A zip state's inner level is a chain of the same kind.
+Each chopper returns a :class:`CpsChain`, a ``chop.Pipeline`` over the
+state it extends, rather than a nested continuation.  Running a state reads
+its flat ``steps`` and applies them in one loop, so a CPS pipeline takes
+time linear in its arity and has no depth limit.  A zip state's inner level
+is a chain of the same kind.
 """
 
 from functools import reduce
 
-from .chop import hom_wrap
+from .chop import Pipeline, hom_wrap
 from .errors import ContinuationShapeError
 from .pipelines import DEVICE_MAPS, DEVICE_ZIPS
 from .records import Builder, apply_field, finish, list_fields, schema_for
@@ -49,54 +50,44 @@ def cons_cps(s, rest):
     return lambda k: rest(lambda *fields: k(s, *fields))
 
 
-class CpsChain:
-    """``chop_cps`` steps as data: an inner state, the step that fuses its
-    accumulator with the next field, and the op named in shape errors.
+class CpsChain(Pipeline):
+    """``chop_cps`` steps as a :class:`chop.Pipeline`: its seed is the first
+    state that is not a chain, and its steps are (op, step) pairs, the op
+    named in shape errors.
 
-    Calling a chain with ``k`` walks back once to the first state that is
-    not a chain and calls that state with one ``feed``.  ``feed(acc, a1,
-    ..., aN)`` applies each step in order, ``acc = step(acc, a)``, then
+    Calling a chain with ``k`` calls its seed with one ``feed``.  ``feed(acc,
+    a1, ..., aN)`` applies each step in order, ``acc = step(acc, a)``, then
     calls ``k(acc, *rest)`` once; that equals one nested continuation per
     step, run as one loop, so the Python stack stays flat at any arity.
-    Instances are never mutated; a chopper returns a new one.
     """
 
-    __slots__ = ("state", "step", "op")
-
-    def __init__(self, state, step, op: str):
-        self.state = state
-        self.step = step
-        self.op = op
+    __slots__ = ()
 
     def __call__(self, k):
-        nodes, state = [], self
-        while isinstance(state, CpsChain):
-            nodes.append(state)
-            state = state.state
-        nodes.reverse()
+        steps = self.steps
 
         def feed(*args):
             acc, fields = (args[0], args[1:]) if args else (None, ())
-            for node, a in zip(nodes, fields):
-                acc = node.step(acc, a)
+            for (_, step), a in zip(steps, fields):
+                acc = step(acc, a)
             n = len(fields)
-            if n < len(nodes):
+            if n < len(steps):
                 count = len(args) - n
                 raise ContinuationShapeError(
                     2,
                     count,
-                    f"{nodes[n].op}: state yields {count} value(s), needs the"
+                    f"{steps[n][0]}: state yields {count} value(s), needs the"
                     " accumulator plus at least one field",
                 )
-            return k(acc, *fields[len(nodes) :])
+            return k(acc, *fields[len(steps) :])
 
-        return state(feed)
+        return self.seed(feed)
 
 
 def chop_cps(i, f):
     """Fuse the accumulator with the next field: k(acc, a, ...) becomes
     k(f(acc, a), ...)."""
-    return CpsChain(i, f, "chop_cps")
+    return CpsChain(i, ("chop_cps", f))
 
 
 def _fuse(op, f):
@@ -111,7 +102,7 @@ def _fuse(op, f):
                 f"{op}: state is not left-nested (inner state is {sab!r},"
                 " not a function)",
             )
-        return CpsChain(sab, lambda s, a: f(s, a, *others), op)
+        return CpsChain(sab, (op, lambda s, a: f(s, a, *others)))
 
     return step
 
@@ -123,7 +114,7 @@ def chop2_cps(i, f):
     record's fields, its first continuation argument is the inner state
     over (accumulator, first record's fields).
     """
-    return CpsChain(i, _fuse("chop2_cps", f), "chop2_cps")
+    return CpsChain(i, ("chop2_cps", _fuse("chop2_cps", f)))
 
 
 def chop2_cps_via_chop(i, f):

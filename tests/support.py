@@ -534,11 +534,17 @@ def ref_show_line(record, schema):
     return " ".join(_ref_lexeme(f, v) for f, v in zip(schema.fields, values))
 
 
+def ref_excerpt(text):
+    """A diagnostic's echo of input: a text of over 40 characters shows as
+    the repr of its first 40, then its length."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + f"… ({len(text)} characters)"
+
+
 def ref_from_named(text, schema):
     pairs = ref_scan_named(text)
     extra = set(pairs) - {f.name for f in schema.fields}
     if extra:
-        raise ExtraKeyError(f"unexpected key(s): {', '.join(map(repr, sorted(extra)))}")
+        raise ExtraKeyError(f"unexpected key(s): {', '.join(map(ref_excerpt, sorted(extra)))}")
     b = Builder(schema)
     for f in schema.fields:
         if f.name not in pairs:

@@ -226,3 +226,23 @@ def test_wraps_of_one_pipeline_share_it():
     assert base(record) == ([1], (2, (3, ())))
     assert left.steps[:1] == right.steps[:1] == base.steps
     assert left.steps is left.steps
+
+
+def test_a_wrap_of_a_pipeline_that_has_run():
+    """A pipeline that has run has its steps flattened already; a wrap of it
+    flattens its own back to the seed, the base's steps then its one, and
+    the base runs as it did."""
+    base = hom_wrap(chop, hom_wrap(chop, lambda r: ([], field_list(*r)), prepend), prepend)
+    record = (1, 2, 3)
+    assert base(record) == ([2, 1], (3, ()))
+    base_steps = base.steps
+
+    def tens(s, a):
+        return s + [a * 10]
+
+    wrapped = hom_wrap(chop, base, tens)
+    assert wrapped.steps == base_steps + ((chop, tens),)
+    assert wrapped(record) == ([2, 1, 30], ())
+    assert base.steps is base_steps
+    assert base_steps == ((chop, prepend), (chop, prepend))
+    assert base(record) == ([2, 1], (3, ()))

@@ -169,6 +169,23 @@ def test_domain_errors_exit_1(monkeypatch, capsys, argv, stdin_text):
     assert len(LINE_PREFIX.sub("error: ", err)) < 100
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["decode-bin", "--type", "device"], "Z" * 1_000_000),
+        (["parse", "--type", "device"], "Z" * 1_000_000),
+        (["to-json", "--type", "device"], '{"' + "k" * 1_000_000 + '":1}'),
+    ],
+    ids=["hex-image", "lexeme", "unknown-key"],
+)
+def test_a_diagnostic_stays_short_however_long_the_line(monkeypatch, capsys, argv, line):
+    code, out, err = run_cli(monkeypatch, capsys, argv, line + "\n")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert "… (1000000 characters)" in err
+
+
 # Per field kind: a sample value, its lexeme, and its binary image (None
 # where the kind has no binary form).
 SAMPLES = {

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from functools import partial, reduce
 
@@ -730,3 +731,27 @@ def test_front_end_matches_scanner(data, schema):
     text = data.draw(near_miss_lines(schema))
     got, want = _outcome(from_named, text, schema), _outcome(ref_from_named, text, schema)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("encoding", ["lisp", "scott"])
+@pytest.mark.parametrize("real", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_real_is_not_showable(encoding, real):
+    record = Benchmark(1.5, "a", real, "b")
+    with pytest.raises(CodecError, match=r"^field 'secondApp' is not a finite real, not showable$"):
+        show_line(record, schema_for("benchmark_avg"), encoding)
+
+
+@pytest.mark.parametrize("real", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_real_has_no_json_form(real):
+    record = Benchmark(real, "a", 1.5, "b")
+    with pytest.raises(CodecError, match=r"^non-finite reals have no JSON form$"):
+        to_named(record, schema_for("benchmark_avg"))
+
+
+@pytest.mark.parametrize("width", [39, 40, 41])
+def test_an_echoed_key_is_cut_past_40_characters(width):
+    key = "k" * width
+    with pytest.raises(ExtraKeyError) as info:
+        from_named('{"block":true,"major":1,"minor":2,"' + key + '":1}', schema_for("device"))
+    shown = repr(key) if width <= 40 else f"{key[:40]!r}… ({width} characters)"
+    assert str(info.value) == f"unexpected key(s): {shown}"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from recplug.chop import Pipeline
 from recplug.errors import ContinuationShapeError, FieldTypeError
 from recplug.scott import (
     CpsChain,
@@ -158,6 +159,7 @@ def test_too_few_fields_message():
 def test_chains_are_flat_nodes():
     seed = cons_cps(0, cps_fields([1, 2], 1))
     state = chop_cps(chop_cps(seed, STEPS["nest"]), STEPS["nest"])
-    assert isinstance(state, CpsChain) and isinstance(state.state, CpsChain)
-    assert state.state.state is seed
+    assert isinstance(state, CpsChain) and isinstance(state, Pipeline)
+    assert state.seed is seed
+    assert state.steps == (("chop_cps", STEPS["nest"]), ("chop_cps", STEPS["nest"]))
     assert state(lambda *args: args) == [(((0, 1), 2),)]

@@ -263,3 +263,10 @@ def test_builder_steps_share_their_prefix():
     assert (half.supplied, left.supplied, right.supplied) == ((True,), (True, 1), (True, 2))
     assert left != right and half == Builder(schema, (True,))
     assert finish(apply_field(left, 3)) == Device(True, 1, 3)
+
+
+def test_a_builder_equals_no_other_type():
+    b = Builder(DEVICE_SCHEMA, (True,))
+    assert b.__eq__((DEVICE_SCHEMA, (True,))) is NotImplemented
+    assert b != (DEVICE_SCHEMA, (True,)) and b != "Builder"
+    assert b == Builder(DEVICE_SCHEMA, (True,))

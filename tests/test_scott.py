@@ -361,3 +361,11 @@ def test_cps_pipelines_at_depth(arity):
             WIDE_ZIPS[k](WIDE_ZIPS[k](x, y), z) for k, x, y, z in zip(kinds, vb, va, vb)
         )
         assert dataclasses.astuple(run_zip3_cps(zipped3(b, a, b))) == expected
+
+
+def test_a_run_of_a_state_that_yields_two_values_is_a_shape_error():
+    state = cons_cps(Builder(schema_for("device")), lambda k: k(True))
+    with pytest.raises(ContinuationShapeError) as info:
+        run_map_cps(state)
+    assert (info.value.expected, info.value.actual) == (1, 2)
+    assert str(info.value) == "run: continuation got 2 value(s), expected the accumulator alone"
