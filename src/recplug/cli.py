@@ -37,7 +37,7 @@ def _lexeme_record(line: str, schema: RecordSchema):
 
 def _hex_record(line: str, schema: RecordSchema):
     if not _HEX_IMAGE.fullmatch(line):
-        raise Error(f"not a hex image: {codecs._excerpt(line)}")
+        raise Error(f"not a hex image: {records._excerpt(line)}")
     return codecs.decode_binary(bytes.fromhex(line), schema)
 
 

@@ -11,8 +11,8 @@ maps ``(src, pos)`` to a ``(value, cursor)`` pair or raises its typed
 CodecError.  Pipelines depend on the schema alone, so each is staged on
 first use into the schema's ``codec_plan``, and every later call runs that
 same value.
-Each per-field check tests the field's exact type (``schema.types``); only
-a miss runs ``kind_of``, and a subclass value is copied to that type.
+Each encoder, and ``from_named``, checks every value with ``check_field``,
+and a diagnostic names at most three of a line's unexpected keys.
 
 Wire formats, bit-exact:
   bool   1 byte, 0x00/0x01
@@ -59,15 +59,15 @@ from .pipelines import depure_show, run_show, showa
 from .records import (
     I64_MAX,
     I64_MIN,
-    PLAIN_COPY,
+    _I64_DIGITS,
     Builder,
-    FieldSpec,
     Kind,
     RecordSchema,
+    _excerpt,
+    _out_of_range,
     apply_field,
-    check_int_range,
+    check_field,
     finish,
-    kind_of,
     list_fields,
 )
 from .scott import cps_form, depure_show_cps, run_show_cps, showa_cps
@@ -78,20 +78,6 @@ Parser = Callable[[Sequence, int], tuple]
 
 #: The characters no string may hold raw on a text track.
 CONTROL = re.compile(r"[\x00-\x1f]")
-_I64_DIGITS = len(str(I64_MIN))  # a longer canonical literal is out of range
-
-
-def _out_of_range(literal: str) -> str:
-    """The out-of-range message; a literal longer than any i64 is cut short."""
-    if len(literal) > _I64_DIGITS:
-        literal = f"{literal[:_I64_DIGITS]}… ({len(literal.lstrip('-'))} digits)"
-    return f"integer out of 64-bit signed range: {literal}"
-
-
-def _excerpt(text: str) -> str:
-    """A diagnostic's echo of input: the repr of ``text``, or of its first
-    40 characters and its length, so a long line gives a short message."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}… ({len(text)} characters)"
 
 
 def _per_field(table: dict, schema: RecordSchema, form: str) -> tuple:
@@ -110,21 +96,6 @@ def _staged(schema: RecordSchema, stage: Callable):
     if staged is None:
         staged = schema.codec_plan[stage] = stage(schema)
     return staged
-
-
-def _checked(spec: FieldSpec, t: type, v):
-    """``v`` as an in-range value of the field's exact type ``t``; only a
-    value of another type runs ``kind_of``, and a subclass value is copied."""
-    if type(v) is t and (t is not int or I64_MIN <= v <= I64_MAX):
-        return v
-    got = kind_of(v)
-    if got is not spec.kind:
-        raise WrongValueKindError(
-            f"field {spec.name!r} expects {spec.kind.value}, got {got.value}"
-        )
-    if got is Kind.INT:
-        check_int_range(v)
-    return PLAIN_COPY[t](v)
 
 
 def p_pure(v):
@@ -222,31 +193,33 @@ def parse_record(stream: Sequence[str], schema: RecordSchema):
     return finish(built)
 
 
-def _shown(spec: FieldSpec, t: type):
-    """The field's lexeme renderer: the lexeme of its checked value.
+def _shown(schema: RecordSchema, i: int):
+    """Field ``i``'s lexeme renderer: the lexeme of its checked value.
     Lexemes are space-separated and lines end at a newline, so a shown
     string holds no space and no control character; a real is finite."""
+    t, name = schema.types[i], schema.fields[i].name
 
     def render(v):
-        v = _checked(spec, t, v)
+        v = check_field(schema, i, v, WrongValueKindError)
         if t is str and " " in v:
-            raise CodecError(f"field {spec.name!r} contains a space, not showable")
+            raise CodecError(f"field {name!r} contains a space, not showable")
         if t is str and CONTROL.search(v):
-            raise CodecError(f"field {spec.name!r} contains a control character, not showable")
+            raise CodecError(f"field {name!r} contains a control character, not showable")
         if t is float and not math.isfinite(v):
-            raise CodecError(f"field {spec.name!r} is not a finite real, not showable")
+            raise CodecError(f"field {name!r} is not a finite real, not showable")
         return str(v)  # render_value's lexeme: v is a plain bool, int, str or float
 
     return render
 
 
 def _lexeme_show(schema: RecordSchema):
-    return reduce(showa, map(_shown, schema.fields, schema.types), depure_show(schema.destruct))
+    renderers = (_shown(schema, i) for i in range(schema.arity))
+    return reduce(showa, renderers, depure_show(schema.destruct))
 
 
 def _lexeme_show_cps(schema: RecordSchema):
-    seed = depure_show_cps(cps_form(schema.destruct))
-    return reduce(showa_cps, map(_shown, schema.fields, schema.types), seed)
+    renderers = (_shown(schema, i) for i in range(schema.arity))
+    return reduce(showa_cps, renderers, depure_show_cps(cps_form(schema.destruct)))
 
 
 def show_line(record, schema: RecordSchema, encoding: str) -> str:
@@ -280,13 +253,13 @@ _BINARY_ENCODERS = {
 }
 
 
-def _bin_chunk(spec: FieldSpec, t: type, encode):
-    return lambda v: encode(_checked(spec, t, v))
+def _bin_chunk(schema: RecordSchema, i: int, encode):
+    return lambda v: encode(check_field(schema, i, v, WrongValueKindError))
 
 
 def _binary_show(schema: RecordSchema):
     encoders = _per_field(_BINARY_ENCODERS, schema, "binary")
-    chunks = map(_bin_chunk, schema.fields, schema.types, encoders)
+    chunks = (_bin_chunk(schema, i, e) for i, e in enumerate(encoders))
     return reduce(showa, chunks, depure_show(schema.destruct))
 
 
@@ -363,13 +336,13 @@ _SPELLINGS = {bool: lambda v: "true" if v else "false", int: str,
               str: encode_basestring, float: _json_real, _RealLiteral: str}
 
 
-def _named_pair(spec: FieldSpec, t: type):
-    key, spell = encode_basestring(spec.name) + ":", _SPELLINGS[t]
-    return lambda v: key + spell(_checked(spec, t, v))
+def _named_pair(schema: RecordSchema, i: int):
+    key, spell = encode_basestring(schema.fields[i].name) + ":", _SPELLINGS[schema.types[i]]
+    return lambda v: key + spell(check_field(schema, i, v, WrongValueKindError))
 
 
 def _named_show(schema: RecordSchema):
-    pairs = map(_named_pair, schema.fields, schema.types)
+    pairs = (_named_pair(schema, i) for i in range(schema.arity))
     return reduce(showa, pairs, depure_show(schema.destruct))
 
 
@@ -431,17 +404,13 @@ def _wire_names(schema: RecordSchema) -> frozenset:
 def from_named(text: str, schema: RecordSchema):
     """Rebuild a record by name; key order is free, extras are rejected."""
     pairs = _named_pairs(text)
-    extra = pairs.keys() - _staged(schema, _wire_names)
-    if extra:
-        raise ExtraKeyError(f"unexpected key(s): {', '.join(map(_excerpt, sorted(extra)))}")
-    values = []  # no Builder: kinds, ranges and arity are all checked already
-    for f, t in zip(schema.fields, schema.types):
+    extra = sorted(pairs.keys() - _staged(schema, _wire_names))
+    if extra:  # the first three, then how many there are
+        more = f", … ({len(extra)} keys)" if len(extra) > 3 else ""
+        raise ExtraKeyError(f"unexpected key(s): {', '.join(map(_excerpt, extra[:3]))}{more}")
+    values = []  # no Builder: the arity is checked already
+    for i, f in enumerate(schema.fields):
         if f.name not in pairs:
             raise MissingKeyError(f"missing key {f.name!r}")
-        v = pairs[f.name]
-        if type(v) is not t:  # every decoded value is a plain bool, int, str or float
-            raise WrongValueKindError(
-                f"key {f.name!r} expects {f.kind.value}, got {kind_of(v).value}"
-            )
-        values.append(v)
+        values.append(check_field(schema, i, pairs[f.name], WrongValueKindError))
     return schema.ctor(*values)

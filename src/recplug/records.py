@@ -5,8 +5,8 @@ empty tuple, ``(b, (x, (y, ())))``.  A :class:`Builder` is the staged
 counterpart of a record constructor: it accepts fields one at a time and
 yields the record after exactly arity applications.  A schema derives each
 field's exact type once, so a step checks a plain value with one ``type(v)
-is t`` test (and an inline i64 range test for an int); any other value, such
-as a subclass instance, takes the ``kind_of`` path, which gives every error.
+is t`` test (and an inline i64 range test for an int); any other value goes
+to ``check_field``, the one kind and range check, which every codec shares.
 Records, field specs and schemas are ``collections.namedtuple`` classes, so
 importing recplug loads none of ``dataclasses``, ``inspect`` and ``typing``.
 """
@@ -36,29 +36,20 @@ class Kind(Enum):
     REAL = "real"
 
 
+#: The exact type of each kind's plain values.
+TYPE_OF = {Kind.BOOL: bool, Kind.INT: int, Kind.STR: str, Kind.REAL: float}
+
+
 def kind_of(v: Value) -> Kind:
-    if isinstance(v, bool):  # before int: bool is an int subclass
-        return Kind.BOOL
-    if isinstance(v, int):
-        return Kind.INT
-    if isinstance(v, str):
-        return Kind.STR
-    if isinstance(v, float):
-        return Kind.REAL
+    for kind, t in TYPE_OF.items():  # bool before int: bool is an int subclass
+        if isinstance(v, t):
+            return kind
     raise FieldTypeError(f"not a field value: {v!r}")
 
 
-#: The exact type of each kind's plain values.
-TYPE_OF = {Kind.BOOL: bool, Kind.INT: int, Kind.STR: str, Kind.REAL: float}
 #: The base slot of each exact type that has subclasses (bool has none): it
 #: copies a subclass value to a plain one and runs none of its overrides.
 PLAIN_COPY = {int: int.__int__, str: str.__str__, float: float.__float__}
-
-
-def check_int_range(v: int) -> int:
-    if not I64_MIN <= v <= I64_MAX:
-        raise IntOverflowError(f"integer out of 64-bit signed range: {int.__repr__(v)}")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +210,53 @@ def schema_for(type_id: str) -> RecordSchema:
         raise UnknownTypeError(f"unregistered record type: {type_id!r}") from None
 
 
+_I64_DIGITS = len(str(I64_MIN))  # a longer canonical literal is out of range
+
+
+def _excerpt(text: str) -> str:
+    """A diagnostic's echo of input: the repr of ``text``, or of its longest
+    prefix of at most 40 characters whose repr has at most 42 (its quotes
+    included), then its length; so a long line gives a short message."""
+    n = min(len(text), 40)
+    while len(shown := repr(text[:n])) > 42:
+        n -= 1
+    return shown if n == len(text) else f"{shown}… ({len(text)} characters)"
+
+
+def _int_excerpt(v) -> str:
+    """An echo of a plain int or its literal: whole up to 20 characters, else
+    its first 20 and its digit count; past 20 digits an int is never made
+    decimal (that raises past 4300 digits) and shows as sign and bit length."""
+    if type(v) is int and abs(v) >= 10**_I64_DIGITS:  # more than 20 digits
+        return f"{'a negative' if v < 0 else 'an'} int of {v.bit_length()} bits"
+    v = str(v)  # a plain int's literal, or the literal itself
+    return v if len(v) <= _I64_DIGITS else f"{v[:_I64_DIGITS]}… ({len(v.lstrip('-'))} digits)"
+
+
+def _out_of_range(v) -> str:
+    """The out-of-range message for a plain int or an int literal."""
+    return f"integer out of 64-bit signed range: {_int_excerpt(v)}"
+
+
+def check_field(schema: RecordSchema, i: int, v: Value, error: type) -> Value:
+    """``v``, or a subclass value's plain copy, if field ``i`` of ``schema`` admits
+    it; else ``error`` (a wrong kind) or IntOverflowError, echoing ``v`` briefly."""
+    t = schema.types[i]
+    if type(v) is t and (t is not int or I64_MIN <= v <= I64_MAX):
+        return v
+    got = kind_of(v)
+    if got is not Kind.BOOL:  # bool has no subclasses
+        v = PLAIN_COPY[TYPE_OF[got]](v)
+    want = schema.fields[i]
+    if got is not want.kind:
+        echo = _excerpt(v) if got is Kind.STR else _int_excerpt(v) if got is Kind.INT else repr(v)
+        raise error(f"field {want.name!r} of {schema.type_id} expects"
+                    f" {want.kind.value}, got {got.value} ({echo})")
+    if got is Kind.INT and not I64_MIN <= v <= I64_MAX:
+        raise IntOverflowError(_out_of_range(v))
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Staged builders
 
@@ -267,15 +305,7 @@ def apply_field(b: Builder, v: Value) -> Builder:
         raise ArityError("apply_field", 0, f"apply_field: {schema.type_id} builder"
                          f" already has all {schema.arity} fields") from None
     if type(v) is not t or t is int and not I64_MIN <= v <= I64_MAX:
-        want = schema.fields[done]
-        got = kind_of(v)
-        if got is not want.kind:
-            raise FieldTypeError(
-                f"field {want.name!r} of {schema.type_id} expects"
-                f" {want.kind.value}, got {got.value} ({TYPE_OF[got].__repr__(v)})"
-            )
-        if got is Kind.INT:
-            check_int_range(v)
+        v = check_field(schema, done, v, FieldTypeError)
     grown = object.__new__(Builder)
     grown.schema, grown._count, grown._cells = schema, done + 1, (v, b._cells)
     return grown

@@ -18,7 +18,6 @@ from recplug.codecs import (
     _b_int,
     _b_str,
     _e_str,
-    _out_of_range,
     p_bool,
     p_int,
     p_real,
@@ -30,6 +29,7 @@ from recplug.errors import (
     ContinuationShapeError,
     ExtraKeyError,
     FieldTypeError,
+    IntOverflowError,
     MalformedJsonError,
     MissingKeyError,
     TrailingBytesError,
@@ -41,13 +41,12 @@ from recplug.records import (
     I64_MAX,
     I64_MIN,
     REGISTRY,
-    TYPE_OF,
     Benchmark,
     Builder,
     Device,
     Kind,
+    _out_of_range,
     apply_field,
-    check_int_range,
     finish,
     kind_of,
     list_fields,
@@ -192,6 +191,17 @@ subclass_values = st.one_of(
     st.text(max_size=3).map(XStr),
     st.floats(allow_nan=False).map(XReal),
 )
+#: Values a builder field may be given: plain ones of every kind, the i64
+#: edges and one past them, None (no field value at all) and subclass values.
+builder_values = st.one_of(
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([I64_MIN - 1, I64_MIN, I64_MAX, I64_MAX + 1]),
+    st.text(max_size=3),
+    st.floats(allow_nan=False),
+    st.none(),
+    subclass_values,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +307,7 @@ def ref_apply_field(schema, supplied: tuple, v) -> tuple:
             f"apply_field: {schema.type_id} builder already has all"
             f" {schema.arity} fields",
         )
-    want = schema.fields[done]
-    got = kind_of(v)
-    if got is not want.kind:
-        raise FieldTypeError(
-            f"field {want.name!r} of {schema.type_id} expects"
-            f" {want.kind.value}, got {got.value} ({TYPE_OF[got].__repr__(v)})"
-        )
-    if got is Kind.INT:
-        check_int_range(v)
-    return supplied + (v,)
+    return supplied + (ref_check_field(schema, done, v, FieldTypeError),)
 
 
 def ref_finish(schema, supplied: tuple):
@@ -470,12 +471,38 @@ def ref_decode_binary(image, schema):
     return finish(built)
 
 
-def _ref_checked(spec, v):
-    got = kind_of(v)
-    if got is not spec.kind:
-        raise WrongValueKindError(f"field {spec.name!r} expects {spec.kind.value}, got {got.value}")
-    if got is Kind.INT:
-        check_int_range(v)
+#: Each kind's base-type copy of a value; none of a subclass's overrides runs.
+_REF_PLAIN = {
+    Kind.BOOL: bool, Kind.INT: int.__int__, Kind.STR: str.__str__, Kind.REAL: float.__float__
+}
+
+
+def ref_echo(v, kind) -> str:
+    """A plain value of kind ``kind`` as a diagnostic echoes it: a str as
+    ref_excerpt does, an int in full up to 20 characters, else its first 20
+    and its digit count, or past 20 digits its sign and bit length."""
+    if kind is Kind.STR:
+        return ref_excerpt(v)
+    if kind is not Kind.INT:
+        return repr(v)
+    if abs(v) >= 10**20:
+        return ("a negative" if v < 0 else "an") + f" int of {abs(v).bit_length()} bits"
+    text = repr(v)
+    return text if len(text) <= 20 else text[:20] + f"… ({len(text) - (v < 0)} digits)"
+
+
+def ref_check_field(schema, i, v, error):
+    """The plain copy of v, if field i of schema admits v: a value of
+    another kind raises error, and an int outside i64 IntOverflowError."""
+    want, got = schema.fields[i], kind_of(v)
+    v = _REF_PLAIN[got](v)
+    if got is not want.kind:
+        raise error(
+            f"field {want.name!r} of {schema.type_id} expects"
+            f" {want.kind.value}, got {got.value} ({ref_echo(v, got)})"
+        )
+    if got is Kind.INT and not I64_MIN <= v <= I64_MAX:
+        raise IntOverflowError("integer out of 64-bit signed range: " + ref_echo(v, got))
     return v
 
 
@@ -495,23 +522,27 @@ def _ref_json_value(v) -> str:
 def ref_encode_binary(record, schema):
     table = {Kind.BOOL: struct.Struct("<?").pack, Kind.INT: struct.Struct("<q").pack, Kind.STR: _e_str}
     encoders = _ref_per_field(table, schema, "binary")
-    steps = [lambda v, f=f, e=e: e(_ref_checked(f, v)) for f, e in zip(schema.fields, encoders)]
+    steps = [
+        lambda v, i=i, e=e: e(ref_check_field(schema, i, v, WrongValueKindError))
+        for i, e in enumerate(encoders)
+    ]
     chunks, _ = reduce(showa, steps, depure_show(schema.destruct))(record)
     return b"".join(reversed(list_fields(chunks)))
 
 
 def ref_to_named(record, schema):
     steps = [
-        lambda v, f=f: encode_basestring(f.name) + ":" + _ref_json_value(_ref_checked(f, v))
-        for f in schema.fields
+        lambda v, i=i, f=f: encode_basestring(f.name) + ":"
+        + _ref_json_value(ref_check_field(schema, i, v, WrongValueKindError))
+        for i, f in enumerate(schema.fields)
     ]
     pairs, _ = reduce(showa, steps, depure_show(schema.destruct))(record)
     return "{" + ",".join(reversed(list_fields(pairs))) + "}"
 
 
-def _ref_lexeme(spec, v) -> str:
+def _ref_lexeme(schema, i, v) -> str:
     """The lexeme of v's base-type value; no override of v's runs."""
-    v = _ref_checked(spec, v)
+    spec, v = schema.fields[i], ref_check_field(schema, i, v, WrongValueKindError)
     if isinstance(v, bool):
         return "True" if v else "False"
     if isinstance(v, int):
@@ -531,28 +562,29 @@ def _ref_lexeme(spec, v) -> str:
 def ref_show_line(record, schema):
     """The lexeme line of record, field by field, with no show pipeline."""
     values = list_fields(schema.destruct(record))
-    return " ".join(_ref_lexeme(f, v) for f, v in zip(schema.fields, values))
+    return " ".join(_ref_lexeme(schema, i, v) for i, v in enumerate(values))
 
 
 def ref_excerpt(text):
-    """A diagnostic's echo of input: a text of over 40 characters shows as
-    the repr of its first 40, then its length."""
-    return repr(text) if len(text) <= 40 else repr(text[:40]) + f"… ({len(text)} characters)"
+    """A diagnostic's echo of input: the text's repr, or the repr of its
+    longest prefix that has at most 40 characters and at most 42 of repr,
+    then its length."""
+    head = next(text[:n] for n in range(min(len(text), 40), -1, -1) if len(repr(text[:n])) <= 42)
+    return repr(text) if head == text else repr(head) + f"… ({len(text)} characters)"
 
 
 def ref_from_named(text, schema):
     pairs = ref_scan_named(text)
     extra = set(pairs) - {f.name for f in schema.fields}
     if extra:
-        raise ExtraKeyError(f"unexpected key(s): {', '.join(map(ref_excerpt, sorted(extra)))}")
+        names = sorted(extra)
+        listed = ", ".join(ref_excerpt(k) for k in names[:3])
+        if len(names) > 3:  # the first three, then how many there are
+            listed += f", … ({len(names)} keys)"
+        raise ExtraKeyError(f"unexpected key(s): {listed}")
     b = Builder(schema)
-    for f in schema.fields:
+    for i, f in enumerate(schema.fields):
         if f.name not in pairs:
             raise MissingKeyError(f"missing key {f.name!r}")
-        v = pairs[f.name]
-        if kind_of(v) is not f.kind:
-            raise WrongValueKindError(
-                f"key {f.name!r} expects {f.kind.value}, got {kind_of(v).value}"
-            )
-        b = apply_field(b, v)
+        b = apply_field(b, ref_check_field(schema, i, pairs[f.name], WrongValueKindError))
     return finish(b)

@@ -186,6 +186,15 @@ def test_a_diagnostic_stays_short_however_long_the_line(monkeypatch, capsys, arg
     assert "… (1000000 characters)" in err
 
 
+def test_a_line_of_many_unknown_keys_gives_a_short_diagnostic(monkeypatch, capsys):
+    """20,000 unknown keys are named as their first three and their count."""
+    line = "{" + ",".join(f'"k{i}":1' for i in range(20_000)) + "}\n"
+    code, out, err = run_cli(monkeypatch, capsys, ["to-json", "--type", "device"], line)
+    assert (code, out) == (1, "")
+    assert err == "error: line 1: unexpected key(s): 'k0', 'k1', 'k10', … (20000 keys)\n"
+    assert len(err.encode()) < 300
+
+
 # Per field kind: a sample value, its lexeme, and its binary image (None
 # where the kind has no binary form).
 SAMPLES = {

@@ -35,6 +35,8 @@ from recplug.errors import (
     TrailingBytesError,
     TrailingInputError,
     TruncatedError,
+    FieldTypeError,
+    IntOverflowError,
     WrongValueKindError,
 )
 from recplug.pipelines import render_value, run_show, show_record
@@ -51,7 +53,10 @@ from recplug.records import (
     FieldSpec,
     Kind,
     RecordSchema,
+    apply_field,
+    finish,
     kind_of,
+    list_fields,
     schema_for,
 )
 
@@ -63,6 +68,7 @@ from support import (
     XInt,
     XReal,
     XStr,
+    builder_values,
     field_list,
     nested_p_ap,
     random_device,
@@ -497,7 +503,7 @@ field_values = {
     Kind.STR: st.text(max_size=8),
     Kind.REAL: st.floats(),
 }
-# Subclass values and IntEnum members take the kind_of path of _checked.
+# Subclass values and IntEnum members take the kind_of path of check_field.
 any_value = st.one_of(*field_values.values(), subclass_values)
 
 
@@ -581,7 +587,7 @@ def test_staged_codecs_match_unstaged_reference(data, schema, text, stream, imag
     _shown_line_parses_back(values, schema)
 
 
-# Per kind: values that miss _checked's exact-type test, in and out of kind.
+# Per kind: values that miss check_field's exact-type test, in and out of kind.
 off_fast_path = {
     Kind.BOOL: st.integers(0, 1),
     Kind.INT: st.one_of(
@@ -755,3 +761,112 @@ def test_an_echoed_key_is_cut_past_40_characters(width):
         from_named('{"block":true,"major":1,"minor":2,"' + key + '":1}', schema_for("device"))
     shown = repr(key) if width <= 40 else f"{key[:40]!r}… ({width} characters)"
     assert str(info.value) == f"unexpected key(s): {shown}"
+
+
+def test_an_echo_counts_a_character_by_its_repr():
+    """A key of 40 U+001F characters shows as its first 10, whose repr has
+    42 characters, and not as a repr of 162."""
+    key = "\x1f" * 40
+    with pytest.raises(ExtraKeyError) as info:
+        from_named('{"block":true,"major":1,"minor":2,' + json.dumps(key) + ":1}", DEVICE)
+    assert str(info.value) == f"unexpected key(s): {key[:10]!r}… (40 characters)"
+
+
+def test_unexpected_keys_are_named_up_to_three_then_counted():
+    """A line of 20,000 unknown keys gives a diagnostic of under 300
+    characters: its first three keys in sorted order, then their count."""
+    for count, message in (
+        (3, "unexpected key(s): 'k0', 'k1', 'k2'"),
+        (4, "unexpected key(s): 'k0', 'k1', 'k2', … (4 keys)"),
+        (20_000, "unexpected key(s): 'k0', 'k1', 'k10', … (20000 keys)"),
+    ):
+        line = "{" + ",".join(f'"k{i}":1' for i in range(count)) + "}"
+        with pytest.raises(ExtraKeyError) as info:
+            from_named(line, DEVICE)
+        assert str(info.value) == message
+        assert len(message) < 300
+
+
+# ---------------------------------------------------------------------------
+# One field check: apply_field and every encoder test a value with check_field.
+
+
+def _applied(record, schema):
+    """The record rebuilt by apply_field, one field at a time."""
+    b = Builder(schema)
+    for v in list_fields(schema.destruct(record)):
+        b = apply_field(b, v)
+    return finish(b)
+
+
+FIELD_CHECKS = {
+    "apply_field": _applied,
+    "to_named": to_named,
+    "encode_binary": encode_binary,
+    "show_line-lisp": SHOW_LINES[0],
+    "show_line-scott": SHOW_LINES[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_CHECKS))
+def test_a_huge_int_gives_a_short_error(name):
+    """An int of 5001 digits in an int or a bool field is a recplug Error of
+    under 200 characters, which names the int by its sign and bit length:
+    it is never converted to decimal, which Python refuses past 4300 digits."""
+    wrong_kind = FieldTypeError if name == "apply_field" else WrongValueKindError
+    for v, sign in ((10**5000, "an"), (-(10**5000), "a negative")):
+        cases = (
+            (Device(True, v, 1), IntOverflowError, "integer out of 64-bit signed range: {}"),
+            (Device(v, 1, 1), wrong_kind, "field 'block' of device expects bool, got int ({})"),
+        )
+        for record, cls, message in cases:
+            with pytest.raises(Error) as info:
+                FIELD_CHECKS[name](record, DEVICE)
+            assert type(info.value) is cls
+            assert str(info.value) == message.format(f"{sign} int of 16610 bits")
+            assert len(str(info.value)) < 200
+
+
+#: Values that reach check_field: the builder's values, ints too long to
+#: show whole and strings too long to echo whole.
+checked_values = st.one_of(
+    builder_values,
+    st.sampled_from([10**5000, -(10**5000), 10**20, -(10**19) - 1, 2**64]),
+    st.text(min_size=41, max_size=60),
+    st.just("x" * 100_000),
+)
+#: A plain value of each kind, which every wire form of that kind writes.
+PLAIN_SAMPLES = {Kind.BOOL: True, Kind.INT: 7, Kind.STR: "s", Kind.REAL: 2.5}
+KIND_ERRORS = {FieldTypeError, WrongValueKindError}
+
+
+@given(st.sampled_from(sorted(REGISTRY)), st.data())
+def test_apply_field_and_every_encoder_check_a_field_alike(type_id, data):
+    """One value in one field of a record: apply_field and each encoder both
+    accept it and agree on it, or both refuse it with the same message of at
+    most 200 characters, where apply_field's FieldTypeError is an encoder's
+    WrongValueKindError."""
+    schema = schema_for(type_id)
+    i = data.draw(st.integers(0, schema.arity - 1))
+    v = data.draw(checked_values)
+    values = [PLAIN_SAMPLES[f.kind] for f in schema.fields]
+    sample = schema.ctor(*values)
+    applied = _outcome(apply_field, Builder(schema, values[:i]), v)
+    values[i] = v
+    record = schema.ctor(*values)
+    if applied[0] == "ok":
+        values[i] = applied[1].supplied[-1]  # the value apply_field stored
+        assert type(values[i]) is schema.types[i] and values[i] == v
+    stored = schema.ctor(*values)
+    for encode in (to_named, encode_binary, *SHOW_LINES):
+        if _outcome(encode, sample, schema)[0] != "ok":  # the schema has no such form
+            continue
+        got = _outcome(encode, record, schema)
+        if got[0] != "ok":
+            assert len(got[1]) <= 200
+        if applied[0] == "ok":
+            assert got == _outcome(encode, stored, schema)
+            assert got[0] not in KIND_ERRORS | {IntOverflowError}
+        else:
+            assert got[1] == applied[1] and len(applied[1]) <= 200
+            assert got[0] is applied[0] or {got[0], applied[0]} == KIND_ERRORS

@@ -31,7 +31,7 @@ from recplug.records import (
     schema_for,
 )
 
-from support import XInt, XStr, ref_apply_field, ref_finish, subclass_values
+from support import XInt, XStr, builder_values, ref_apply_field, ref_finish
 
 int64 = st.integers(min_value=I64_MIN, max_value=I64_MAX)
 
@@ -115,6 +115,22 @@ def test_apply_field_kind_mismatch():
         Builder(schema_for("device"), ("x", 19, 1))
 
 
+def test_a_long_str_in_a_bool_field_gives_a_short_error():
+    """The value is echoed as its first 40 characters and its length."""
+    with pytest.raises(FieldTypeError) as info:
+        apply_field(Builder(schema_for("device")), "x" * 100_000)
+    assert str(info.value) == (
+        f"field 'block' of device expects bool, got str ({'x' * 40!r}… (100000 characters))"
+    )
+    assert len(str(info.value)) < 200
+
+
+def test_a_subclass_value_is_stored_as_its_plain_copy():
+    b = Builder(schema_for("device"), (True, XInt(19)))
+    assert type(b.supplied[1]) is int and b.supplied[1] == 19
+    assert repr(finish(apply_field(b, XInt(1)))) == "Device(block=True, major=19, minor=1)"
+
+
 def test_apply_field_int_range():
     b = apply_field(Builder(schema_for("device")), True)
     with pytest.raises(IntOverflowError):
@@ -182,17 +198,6 @@ def _outcome(fn, *args):
         return "ok", fn(*args)
     except Error as exc:
         return type(exc), str(exc)
-
-
-builder_values = st.one_of(
-    st.booleans(),
-    st.integers(-3, 3),
-    st.sampled_from([I64_MIN - 1, I64_MIN, I64_MAX, I64_MAX + 1]),
-    st.text(max_size=3),
-    st.floats(allow_nan=False),
-    st.none(),
-    subclass_values,
-)
 
 
 @given(st.sampled_from(sorted(REGISTRY)), st.lists(builder_values, max_size=6))
