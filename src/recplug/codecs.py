@@ -3,14 +3,15 @@
 Three wire forms share the schema registry entry: a space-separated lexeme
 line (shown by a pair-track or a CPS show pipeline, parsed back by a
 parser pipeline; a shown string holds no space and no control character),
-a binary image, and a flat named-field JSON subset.  Encoders are chop
-pipelines over the destructured record.  Decoders are ``chop.Pipeline``s
-too: ``p_pure(Builder(schema))`` seeds the state ``(acc, src, cursor)``
-and ``p_ap`` plugs each field's primitive parser after it.  A primitive
-maps ``(src, pos)`` to a ``(value, cursor)`` pair or raises its typed
+a binary image, and a flat named-field JSON subset.  ``_show`` builds
+every pair-track encoder: a show pipeline over the destructured record,
+one piece per field.  ``_parse`` builds both decoders: its seed
+``p_pure(Builder(schema))`` starts the state ``(acc, src, cursor)`` and
+``p_ap`` plugs each field's primitive parser after it.  A primitive maps
+``(src, pos)`` to a ``(value, cursor)`` pair or raises its typed
 CodecError.  Pipelines depend on the schema alone, so each is staged on
 first use into the schema's ``codec_plan``, and every later call runs that
-same value.
+same value; the lexeme CPS show is the one encoder ``_show`` does not build.
 Each encoder, and ``from_named``, checks every value with ``check_field``,
 and a diagnostic names at most three of a line's unexpected keys.
 
@@ -39,7 +40,7 @@ import os
 import re
 import struct
 from collections.abc import Callable, Sequence
-from functools import reduce
+from functools import partial, reduce
 from json.encoder import encode_basestring
 
 from .chop import hom_wrap
@@ -80,13 +81,12 @@ Parser = Callable[[Sequence, int], tuple]
 CONTROL = re.compile(r"[\x00-\x1f]")
 
 
-def _per_field(table: dict, schema: RecordSchema, form: str) -> tuple:
-    """``table``'s primitive for each field of ``schema``, in field order;
-    the one place a wire form's kind support is decided."""
-    for f in schema.fields:
-        if f.kind not in table:
-            raise CodecError(f"{f.kind.value} field {f.name!r} has no {form} form")
-    return tuple(table[f.kind] for f in schema.fields)
+def _primitive(table: dict, field, form: str):
+    """``table``'s primitive for ``field``; the one place a wire form's kind
+    support is decided."""
+    if field.kind not in table:
+        raise CodecError(f"{field.kind.value} field {field.name!r} has no {form} form")
+    return table[field.kind]
 
 
 def _staged(schema: RecordSchema, stage: Callable):
@@ -115,6 +115,20 @@ def p_ap(pf, pa: Parser):
     """``pf <*> pa``: the parser pipeline ``pf`` with ``pa`` plugged after
     it.  Steps run left to right; the first error short-circuits."""
     return hom_wrap(_ap, pf, pa)
+
+
+def _show(schema: RecordSchema, piece: Callable):
+    """Every pair-track encoder: the show pipeline of ``schema`` with
+    ``piece(schema, i)`` rendering field i."""
+    pieces = (piece(schema, i) for i in range(schema.arity))
+    return reduce(showa, pieces, depure_show(schema.destruct))
+
+
+def _parse(schema: RecordSchema, table: dict, form: str):
+    """Every decoder: the parser pipeline of ``schema`` with ``table``'s
+    primitive plugged in for each field."""
+    primitives = (_primitive(table, f, form) for f in schema.fields)
+    return reduce(p_ap, primitives, p_pure(Builder(schema)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +187,7 @@ def p_real(src, pos):
 
 
 _LEXEME_PRIMITIVES = {Kind.BOOL: p_bool, Kind.INT: p_int, Kind.STR: p_str, Kind.REAL: p_real}
-
-
-def _lexeme_parse(schema: RecordSchema):
-    parsers = _per_field(_LEXEME_PRIMITIVES, schema, "lexeme")
-    return reduce(p_ap, parsers, p_pure(Builder(schema)))
+_LEXEME_PARSE = partial(_parse, table=_LEXEME_PRIMITIVES, form="lexeme")
 
 
 def parse_record(stream: Sequence[str], schema: RecordSchema):
@@ -185,7 +195,7 @@ def parse_record(stream: Sequence[str], schema: RecordSchema):
     record with no fields shows as the empty line, one empty lexeme."""
     if not schema.fields and tuple(stream) == ("",):
         stream = ()
-    built, _, cursor = _staged(schema, _lexeme_parse)(stream, 0)
+    built, _, cursor = _staged(schema, _LEXEME_PARSE)(stream, 0)
     if cursor != len(stream):
         raise TrailingInputError(
             f"{len(stream) - cursor} unconsumed lexeme(s) at position {cursor}"
@@ -212,9 +222,7 @@ def _shown(schema: RecordSchema, i: int):
     return render
 
 
-def _lexeme_show(schema: RecordSchema):
-    renderers = (_shown(schema, i) for i in range(schema.arity))
-    return reduce(showa, renderers, depure_show(schema.destruct))
+_LEXEME_SHOW = partial(_show, piece=_shown)
 
 
 def _lexeme_show_cps(schema: RecordSchema):
@@ -227,7 +235,7 @@ def show_line(record, schema: RecordSchema, encoding: str) -> str:
     pipeline, or by the CPS one when ``encoding`` is "scott"."""
     if encoding == "scott":
         return run_show_cps(_staged(schema, _lexeme_show_cps)(record))
-    return run_show(_staged(schema, _lexeme_show)(record))
+    return run_show(_staged(schema, _LEXEME_SHOW)(record))
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +261,16 @@ _BINARY_ENCODERS = {
 }
 
 
-def _bin_chunk(schema: RecordSchema, i: int, encode):
+def _bin_chunk(schema: RecordSchema, i: int):
+    encode = _primitive(_BINARY_ENCODERS, schema.fields[i], "binary")
     return lambda v: encode(check_field(schema, i, v, WrongValueKindError))
 
 
-def _binary_show(schema: RecordSchema):
-    encoders = _per_field(_BINARY_ENCODERS, schema, "binary")
-    chunks = (_bin_chunk(schema, i, e) for i, e in enumerate(encoders))
-    return reduce(showa, chunks, depure_show(schema.destruct))
+_BINARY_SHOW = partial(_show, piece=_bin_chunk)
 
 
 def encode_binary(record, schema: RecordSchema) -> bytes:
-    chunks, _ = _staged(schema, _binary_show)(record)
+    chunks, _ = _staged(schema, _BINARY_SHOW)(record)
     return b"".join(reversed(list_fields(chunks)))
 
 
@@ -297,16 +303,12 @@ def _b_str(data, pos):
 
 
 _BINARY_PRIMITIVES = {Kind.BOOL: _b_bool, Kind.INT: _b_int, Kind.STR: _b_str}
-
-
-def _binary_parse(schema: RecordSchema):
-    parsers = _per_field(_BINARY_PRIMITIVES, schema, "binary")
-    return reduce(p_ap, parsers, p_pure(Builder(schema)))
+_BINARY_PARSE = partial(_parse, table=_BINARY_PRIMITIVES, form="binary")
 
 
 def decode_binary(image: bytes, schema: RecordSchema):
     """Strict inverse of encode_binary: every byte must be consumed."""
-    built, _, cursor = _staged(schema, _binary_parse)(image, 0)
+    built, _, cursor = _staged(schema, _BINARY_PARSE)(image, 0)
     if cursor != len(image):
         raise TrailingBytesError(
             f"{len(image) - cursor} unconsumed byte(s) at offset {cursor}"
@@ -341,14 +343,12 @@ def _named_pair(schema: RecordSchema, i: int):
     return lambda v: key + spell(check_field(schema, i, v, WrongValueKindError))
 
 
-def _named_show(schema: RecordSchema):
-    pairs = (_named_pair(schema, i) for i in range(schema.arity))
-    return reduce(showa, pairs, depure_show(schema.destruct))
+_NAMED_SHOW = partial(_show, piece=_named_pair)
 
 
 def to_named(record, schema: RecordSchema) -> str:
     """Emit a flat object, keys in schema order, no whitespace."""
-    pairs, _ = _staged(schema, _named_show)(record)
+    pairs, _ = _staged(schema, _NAMED_SHOW)(record)
     return "{" + ",".join(reversed(list_fields(pairs))) + "}"
 
 
@@ -397,14 +397,10 @@ def _named_pairs(text: str) -> dict:
     return named
 
 
-def _wire_names(schema: RecordSchema) -> frozenset:
-    return frozenset(f.name for f in schema.fields)
-
-
 def from_named(text: str, schema: RecordSchema):
     """Rebuild a record by name; key order is free, extras are rejected."""
     pairs = _named_pairs(text)
-    extra = sorted(pairs.keys() - _staged(schema, _wire_names))
+    extra = sorted(pairs.keys() - schema.wire_names)
     if extra:  # the first three, then how many there are
         more = f", … ({len(extra)} keys)" if len(extra) > 3 else ""
         raise ExtraKeyError(f"unexpected key(s): {', '.join(map(_excerpt, extra[:3]))}{more}")

@@ -44,7 +44,7 @@ def kind_of(v: Value) -> Kind:
     for kind, t in TYPE_OF.items():  # bool before int: bool is an int subclass
         if isinstance(v, t):
             return kind
-    raise FieldTypeError(f"not a field value: {v!r}")
+    raise FieldTypeError(f"not a field value: type {_excerpt(type(v).__name__)}")
 
 
 #: The base slot of each exact type that has subclasses (bool has none): it
@@ -127,6 +127,8 @@ class RecordSchema(namedtuple("RecordSchema", "type_id ctor destruct fields")):
         self.codec_plan = {}
         #: Each field's exact type, derived from its kind; not part of its value.
         self.types = tuple(TYPE_OF[f.kind] for f in self.fields)
+        #: The set of wire names, which ``from_named`` reads; not part of its value.
+        self.wire_names = frozenset(seen)
 
     #: The inherited ``_make``, which ``_replace`` calls, would skip ``__init__``.
     _make = classmethod(lambda cls, values: cls(*values))
@@ -215,10 +217,10 @@ _I64_DIGITS = len(str(I64_MIN))  # a longer canonical literal is out of range
 
 def _excerpt(text: str) -> str:
     """A diagnostic's echo of input: the repr of ``text``, or of its longest
-    prefix of at most 40 characters whose repr has at most 42 (its quotes
-    included), then its length; so a long line gives a short message."""
+    prefix of at most 40 characters whose repr has at most 42 UTF-8 bytes (its
+    quotes included), then its length; so a long line gives a short message."""
     n = min(len(text), 40)
-    while len(shown := repr(text[:n])) > 42:
+    while len((shown := repr(text[:n])).encode()) > 42:
         n -= 1
     return shown if n == len(text) else f"{shown}… ({len(text)} characters)"
 

@@ -567,9 +567,10 @@ def ref_show_line(record, schema):
 
 def ref_excerpt(text):
     """A diagnostic's echo of input: the text's repr, or the repr of its
-    longest prefix that has at most 40 characters and at most 42 of repr,
-    then its length."""
-    head = next(text[:n] for n in range(min(len(text), 40), -1, -1) if len(repr(text[:n])) <= 42)
+    longest prefix that has at most 40 characters and a repr of at most 42
+    UTF-8 bytes, then its length."""
+    head = next(text[:n] for n in range(min(len(text), 40), -1, -1)
+                if len(repr(text[:n]).encode()) <= 42)
     return repr(text) if head == text else repr(head) + f"… ({len(text)} characters)"
 
 

@@ -175,8 +175,10 @@ def test_domain_errors_exit_1(monkeypatch, capsys, argv, stdin_text):
         (["decode-bin", "--type", "device"], "Z" * 1_000_000),
         (["parse", "--type", "device"], "Z" * 1_000_000),
         (["to-json", "--type", "device"], '{"' + "k" * 1_000_000 + '":1}'),
+        (["decode-bin", "--type", "device"], "\U0001D11E" * 1_000_000),
+        (["parse", "--type", "device"], "\U0001D11E" * 1_000_000),
     ],
-    ids=["hex-image", "lexeme", "unknown-key"],
+    ids=["hex-image", "lexeme", "unknown-key", "hex-image-astral", "lexeme-astral"],
 )
 def test_a_diagnostic_stays_short_however_long_the_line(monkeypatch, capsys, argv, line):
     code, out, err = run_cli(monkeypatch, capsys, argv, line + "\n")

@@ -238,6 +238,45 @@ def test_binary_rejects_real_fields():
         decode_binary(b"", AVGS)
 
 
+def test_a_missing_binary_form_raises_on_every_call_and_is_not_staged():
+    """The first field with no binary form is named, on each call, and
+    neither codec keeps an entry in the schema's plan."""
+    before = dict(AVGS.codec_plan)
+    for _ in range(2):
+        for call in (lambda: encode_binary(Benchmark(1.0, "a", 2.0, "b"), AVGS),
+                     lambda: decode_binary(b"", AVGS)):
+            with pytest.raises(CodecError) as info:
+                call()
+            assert str(info.value) == "real field 'firstApp' has no binary form"
+    assert AVGS.codec_plan == before
+
+
+def test_a_second_call_reuses_each_staged_codec():
+    """Each codec stages one pipeline on its first call, and a second call
+    adds none and runs the same object.  from_named stages nothing: the
+    schema carries its wire names."""
+    schema = DEVICE._replace(type_id="device_staged")
+    record = Device(True, 1, 2)
+    image, line = encode_binary(record, DEVICE), show_line(record, DEVICE, "lisp")
+    calls = (
+        lambda: show_line(record, schema, "lisp"),
+        lambda: show_line(record, schema, "scott"),
+        lambda: encode_binary(record, schema),
+        lambda: decode_binary(image, schema),
+        lambda: parse_record(lexemes(line), schema),
+        lambda: to_named(record, schema),
+    )
+    for staged, call in enumerate(calls, 1):
+        call()
+        first = dict(schema.codec_plan)
+        call()
+        assert len(first) == staged
+        assert schema.codec_plan.keys() == first.keys()
+        assert all(schema.codec_plan[k] is v for k, v in first.items())
+    assert from_named(to_named(record, schema), schema) == record
+    assert len(schema.codec_plan) == len(calls)
+
+
 def test_encode_wrong_kind():
     with pytest.raises(WrongValueKindError):
         encode_binary(Benchmark(1.5, "a", 2, "b"), BENCHMARK)
@@ -770,6 +809,28 @@ def test_an_echo_counts_a_character_by_its_repr():
     with pytest.raises(ExtraKeyError) as info:
         from_named('{"block":true,"major":1,"minor":2,' + json.dumps(key) + ":1}", DEVICE)
     assert str(info.value) == f"unexpected key(s): {key[:10]!r}… (40 characters)"
+
+
+def test_an_echo_counts_a_character_by_its_utf8_bytes():
+    """A key of 1,000 U+1D11E characters shows as its first 10, whose repr
+    has 42 UTF-8 bytes, and not as a repr of 40 characters and 162 bytes."""
+    key = "\U0001D11E" * 1000
+    with pytest.raises(ExtraKeyError) as info:
+        from_named('{"block":true,"major":1,"minor":2,"' + key + '":1}', DEVICE)
+    assert str(info.value) == f"unexpected key(s): {key[:10]!r}… (1000 characters)"
+
+
+def test_a_value_that_is_no_field_value_is_echoed_by_its_type_name():
+    """Neither a long list nor a class with a long name is echoed whole."""
+    long_named = type("C" * 1000, (), {})()
+    for v, echo in ((list(range(100_000)), "'list'"),
+                    (long_named, f"{'C' * 40!r}… (1000 characters)")):
+        for call in (lambda: apply_field(Builder(DEVICE), v),
+                     lambda: to_named(Device(v, 1, 2), DEVICE)):
+            with pytest.raises(Error) as info:
+                call()
+            assert str(info.value) == f"not a field value: type {echo}"
+            assert len(str(info.value)) < 200
 
 
 def test_unexpected_keys_are_named_up_to_three_then_counted():

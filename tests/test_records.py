@@ -246,7 +246,15 @@ def test_every_way_to_make_a_schema_derives_types():
     )
     for schema in made:
         assert schema.types == (int, str, int, str)
+        assert schema.wire_names == {"firstApp", "firstLog", "secondApp", "secondLog"}
         assert schema.codec_plan == {} and schema.codec_plan is not BENCHMARK_SCHEMA.codec_plan
+
+
+def test_a_schema_carries_its_wire_name_set():
+    for schema in REGISTRY.values():
+        assert type(schema.wire_names) is frozenset
+        assert schema.wire_names == {f.name for f in schema.fields}
+    assert DEVICE_SCHEMA.wire_names == {"block", "major", "minor"}
 
 
 def test_sample_records_are_immutable_named_tuples():

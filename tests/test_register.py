@@ -311,4 +311,5 @@ def test_make_and_replace_validate_as_the_constructor_does(change, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
     renamed = DEVICE_SCHEMA._replace(type_id="device2")
-    assert (renamed.types, renamed.codec_plan) == (DEVICE_SCHEMA.types, {})
+    assert (renamed.types, renamed.wire_names, renamed.codec_plan) == (
+        DEVICE_SCHEMA.types, DEVICE_SCHEMA.wire_names, {})
