@@ -15,8 +15,8 @@ it (a StringIO) counts as decoded, and a closed stdin as empty.  The
 console script writes stdout as UTF-8.  Exit codes: 0 success, 1 domain
 error or undecodable stdin (one-line diagnostic on stderr) or closed
 stdout, 2 usage error.  The first error on a line, a line that is not
-UTF-8 included, ends the run with "error: line N: <message>"; what lines 1
-to N-1 printed stays on stdout.
+UTF-8 or holds more than `MAX_LINE` bytes included, ends the run with
+"error: line N: <message>"; what lines 1 to N-1 printed stays on stdout.
 """
 
 import argparse
@@ -29,6 +29,8 @@ from .errors import Error
 from .records import EXAMPLE_DEVICE, RecordSchema, schema_for
 
 _HEX_IMAGE = re.compile(r"(?:[0-9a-f]{2})*")
+#: The most bytes a line may hold before its "\n" (characters, on a text-only stdin).
+MAX_LINE = 8 * 1024 * 1024
 
 
 def _lexeme_record(line: str, schema: RecordSchema):
@@ -114,10 +116,15 @@ def main(argv=None) -> int:
 
     def lines():
         r"""Each line of stdin, read lazily, without its "\n" or "\r\n"; a
-        line of bytes that is not UTF-8 is an error with its number."""
+        line of bytes that is not UTF-8, or longer than MAX_LINE, is an error
+        with its number, and the rest of a long line is never read."""
         nonlocal read
         raw = getattr(sys.stdin, "buffer", None)
-        for read, line in enumerate(raw or sys.stdin or (), 1):
+        source, end = (sys.stdin, "\n") if raw is None else (raw, b"\n")
+        while source is not None and (line := source.readline(MAX_LINE + 1)):
+            read += 1
+            if len(line) > MAX_LINE and not line.endswith(end):
+                raise Error(f"line longer than {MAX_LINE} bytes")
             if raw is not None:
                 try:
                     line = line.decode("utf-8")

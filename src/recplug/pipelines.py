@@ -23,7 +23,6 @@ from .records import (
     apply_field,
     destructure_benchmark,
     destructure_device,
-    field_count,
     finish,
     kind_of,
     list_fields,
@@ -63,7 +62,9 @@ def showa(pipeline, render):
 
 
 def run_show(state) -> str:
-    stack, _ = state
+    stack, rest = state
+    if rest != ():
+        raise ArityError("run_show", len(list_fields(rest)), "run_show: unconsumed fields left")
     return " ".join(reversed(list_fields(stack)))
 
 
@@ -72,8 +73,8 @@ def run_show(state) -> str:
 
 
 def depure_map(type_id, destruct):
-    schema = schema_for(type_id)
-    return lambda r: (Builder(schema), destruct(r))
+    empty = Builder(schema_for(type_id))  # never mutated, so every run shares it
+    return lambda r: (empty, destruct(r))
 
 
 def mapa(pipeline, f):
@@ -83,9 +84,7 @@ def mapa(pipeline, f):
 def run_map(state):
     acc, rest = state
     if rest != ():
-        raise ArityError(
-            "run_map", field_count(rest), "run_map: unconsumed fields left"
-        )
+        raise ArityError("run_map", len(list_fields(rest)), "run_map: unconsumed fields left")
     return finish(acc)
 
 
@@ -94,8 +93,8 @@ def run_map(state):
 
 
 def depure_zip(type_id, destruct_a, destruct_b):
-    schema = schema_for(type_id)
-    return lambda ra, rb: (Builder(schema), destruct_a(ra), destruct_b(rb))
+    empty = Builder(schema_for(type_id))
+    return lambda ra, rb: (empty, destruct_a(ra), destruct_b(rb))
 
 
 def zipa(pipeline, f):
@@ -104,9 +103,9 @@ def zipa(pipeline, f):
 
 def run_zip(state):
     acc, rest_a, rest_b = state
-    leftover = field_count(rest_a) + field_count(rest_b)
-    if leftover:
-        raise ArityError("run_zip", leftover, "run_zip: unconsumed fields left")
+    if rest_a != () or rest_b != ():
+        left = len(list_fields(rest_a)) + len(list_fields(rest_b))
+        raise ArityError("run_zip", left, "run_zip: unconsumed fields left")
     return finish(acc)
 
 

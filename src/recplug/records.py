@@ -88,10 +88,6 @@ def list_fields(fl: FieldList) -> list:
     return out
 
 
-def field_count(fl: FieldList) -> int:
-    return len(list_fields(fl))
-
-
 # ---------------------------------------------------------------------------
 # Schemas and the type registry
 

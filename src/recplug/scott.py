@@ -138,22 +138,19 @@ def depure_show_cps(destruct_cps):
 
 
 def depure_map_cps(type_id, destruct_cps):
-    schema = schema_for(type_id)
-    return lambda r: cons_cps(Builder(schema), destruct_cps(r))
+    empty = Builder(schema_for(type_id))  # never mutated, so every run shares it
+    return lambda r: cons_cps(empty, destruct_cps(r))
 
 
 def depure_zip_cps(type_id, destruct_a, destruct_b):
-    schema = schema_for(type_id)
-    return lambda ra, rb: cons_cps(
-        cons_cps(Builder(schema), destruct_a(ra)), destruct_b(rb)
-    )
+    empty = Builder(schema_for(type_id))
+    return lambda ra, rb: cons_cps(cons_cps(empty, destruct_a(ra)), destruct_b(rb))
 
 
 def depure_zip3_cps(type_id, destruct_a, destruct_b, destruct_c):
-    schema = schema_for(type_id)
+    empty = Builder(schema_for(type_id))
     return lambda ra, rb, rc: cons_cps(
-        cons_cps(cons_cps(Builder(schema), destruct_a(ra)), destruct_b(rb)),
-        destruct_c(rc),
+        cons_cps(cons_cps(empty, destruct_a(ra)), destruct_b(rb)), destruct_c(rc)
     )
 
 

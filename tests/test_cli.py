@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recplug import pipelines, register
-from recplug.cli import main
+from recplug import cli, pipelines, register
+from recplug.cli import MAX_LINE, main
 from recplug.codecs import CONTROL, encode_binary, from_named, to_named
 from recplug.errors import CodecError
 from recplug.records import BENCHMARK_SCHEMA, I64_MAX, I64_MIN, REGISTRY, Benchmark, Kind
@@ -186,6 +186,48 @@ def test_a_diagnostic_stays_short_however_long_the_line(monkeypatch, capsys, arg
     assert err.startswith("error: line 1: ") and err.count("\n") == 1
     assert len(err.encode()) < 200
     assert "… (1000000 characters)" in err
+
+
+def benchmark_line(size):
+    """A valid `benchmark` JSON line of exactly ``size`` bytes, padded in its first log."""
+    line = '{"firstApp":1,"firstLog":"","secondApp":2,"secondLog":""}'
+    return line.replace('""', '"' + "Z" * (size - len(line)) + '"', 1)
+
+
+def test_a_line_of_max_line_bytes_passes(monkeypatch, capsys):
+    line = benchmark_line(MAX_LINE)
+    assert len(line.encode()) == MAX_LINE
+    code, out, err = run_cli(monkeypatch, capsys, ["to-json", "--type", "benchmark"], line + "\n", utf8_stdin)
+    assert (code, err) == (0, "")
+    assert out == line + "\n"
+
+
+def test_a_line_over_max_line_bytes_is_an_error_and_the_rest_is_never_read(monkeypatch, capsys):
+    line = benchmark_line(MAX_LINE + 1)
+    code, out, err = run_cli(monkeypatch, capsys, ["to-json", "--type", "benchmark"], line + "\n", utf8_stdin)
+    assert (code, out) == (1, "")
+    assert err == f"error: line 1: line longer than {MAX_LINE} bytes\n"
+    assert sys.stdin.buffer.tell() == MAX_LINE + 1
+
+
+def test_an_over_long_line_2_keeps_line_1_on_stdout(monkeypatch, capsys):
+    first = '{"block":false,"major":19,"minor":1}'
+    stdin_text = first + "\n" + "Z" * (MAX_LINE + 1) + "\n"
+    code, out, err = run_cli(monkeypatch, capsys, ["to-json", "--type", "device"], stdin_text, utf8_stdin)
+    assert (code, out) == (1, first + "\n")
+    assert err == f"error: line 2: line longer than {MAX_LINE} bytes\n"
+
+
+def test_the_line_bound_counts_bytes_and_on_a_text_stdin_characters(monkeypatch, capsys):
+    """Eight U+1D11E are 32 bytes: over a bound of 8 from bytes, within it from a StringIO."""
+    monkeypatch.setattr(cli, "MAX_LINE", 8)
+    argv, line = ["parse", "--type", "device"], "\U0001D11E" * 8 + "\n"
+    code, _, err = run_cli(monkeypatch, capsys, argv, line, utf8_stdin)
+    assert (code, err) == (1, "error: line 1: line longer than 8 bytes\n")
+    code, _, err = run_cli(monkeypatch, capsys, argv, line)
+    assert code == 1 and "line longer than" not in err
+    code, _, err = run_cli(monkeypatch, capsys, argv, "\U0001D11E" * 9 + "\n")
+    assert (code, err) == (1, "error: line 1: line longer than 8 bytes\n")
 
 
 def test_a_line_of_many_unknown_keys_gives_a_short_diagnostic(monkeypatch, capsys):

@@ -146,8 +146,10 @@ def test_mapa_kind_mismatch():
 def test_run_map_rejects_incomplete_and_leftover():
     with pytest.raises(ArityError):
         run_map((Builder(schema_for("device"), (False, 19)), ()))
-    with pytest.raises(ArityError):
-        run_map((Builder(schema_for("device"), (True, 119, 201)), field_list(9)))
+    for leftover, remaining in ((field_list(9), 1), (field_list(9, 8), 2)):
+        with pytest.raises(ArityError) as info:
+            run_map((Builder(schema_for("device"), (True, 119, 201)), leftover))
+        assert (info.value.op, info.value.remaining) == ("run_map", remaining)
     assert run_map((Builder(schema_for("device"), (True, 119, 201)), ())) == MAPPED_DEVICE
 
 
@@ -214,9 +216,14 @@ def test_zipa_second_rest_exhausted():
 
 
 def test_run_zip_rejects_leftover():
-    state = (Builder(schema_for("device"), (True, 119, 201)), field_list(1), ())
-    with pytest.raises(ArityError):
-        run_zip(state)
+    """Leftovers in the first list, the second or both: ``remaining`` is their total."""
+    full = Builder(schema_for("device"), (True, 119, 201))
+    cases = [(field_list(1), (), 1), ((), field_list(3), 1), (field_list(1), field_list(2, 3), 3)]
+    for rest_a, rest_b, remaining in cases:
+        with pytest.raises(ArityError) as info:
+            run_zip((full, rest_a, rest_b))
+        assert (info.value.op, info.value.remaining) == ("run_zip", remaining)
+        assert str(info.value) == "run_zip: unconsumed fields left"
 
 
 def test_pop_push_dup_steps():

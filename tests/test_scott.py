@@ -1,21 +1,25 @@
 import dataclasses
 import itertools
 import random
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 
 from recplug import plug
 from recplug.codecs import show_line
-from recplug.errors import ContinuationShapeError, UnknownTypeError
+from recplug.errors import ArityError, ContinuationShapeError, UnknownTypeError
 from recplug.pipelines import (
+    depure_map,
+    depure_show,
     depure_zip,
+    mapa,
     render_value,
     map_device_demo,
     run_map,
     run_show,
     run_zip,
     show_record,
+    showa,
     zip_device_demo,
     zipa,
 )
@@ -306,6 +310,51 @@ def test_wrong_nesting_order_is_a_shape_error():
 def test_run_show_cps_empty_stack():
     state = cons_cps((), lambda k: k())
     assert run_show_cps(state) == ""
+
+
+def test_both_show_tracks_refuse_a_pipeline_that_leaves_fields():
+    """Two show steps on the three-field device: neither track prints 'False 19'."""
+    pair = reduce(showa, [render_value] * 2, depure_show(destructure_device))
+    cps = reduce(showa_cps, [render_value] * 2, depure_show_cps(destructure_device_cps))
+    with pytest.raises(ArityError) as info:
+        run_show(pair(EXAMPLE_DEVICE))
+    assert (info.value.op, info.value.remaining) == ("run_show", 1)
+    assert str(info.value) == "run_show: unconsumed fields left"
+    with pytest.raises(ContinuationShapeError):
+        run_show_cps(cps(EXAMPLE_DEVICE))
+
+
+def cps_accumulator(levels):
+    """The accumulator a left-nested CPS state of ``levels`` records holds."""
+
+    def read(state):
+        for _ in range(levels):
+            state = state(lambda acc, *fields: acc)
+        return state
+
+    return read
+
+
+@pytest.mark.parametrize(
+    "seed,wrap,run,records,accumulator",
+    [
+        (depure_map("device", destructure_device), mapa, run_map, 1, lambda s: s[0]),
+        (depure_zip("device", *[destructure_device] * 2), zipa, run_zip, 2, lambda s: s[0]),
+        (depure_map_cps("device", destructure_device_cps), mapa_cps, run_map_cps, 1, cps_accumulator(1)),
+        (depure_zip_cps("device", *[destructure_device_cps] * 2), zipa_cps, run_zip_cps, 2, cps_accumulator(2)),
+        (depure_zip3_cps("device", *[destructure_device_cps] * 3), zipa3_cps, run_zip3_cps, 3, cps_accumulator(3)),
+    ],
+    ids=["map", "zip", "map_cps", "zip_cps", "zip3_cps"],
+)
+def test_a_seed_shares_one_empty_builder_across_runs(seed, wrap, run, records, accumulator):
+    empty = accumulator(seed(*[EXAMPLE_DEVICE] * records))
+    assert empty == Builder(schema_for("device"))
+    assert accumulator(seed(*[MAPPED_DEVICE] * records)) is empty
+    first = reduce(wrap, [lambda a, *others: a] * 3, seed)
+    for d in (EXAMPLE_DEVICE, MAPPED_DEVICE):
+        assert run(first(*[d] * records)) == d
+    assert empty.supplied == ()
+    assert accumulator(seed(*[EXAMPLE_DEVICE] * records)) is empty
 
 
 def test_track_equivalence_on_random_devices():
