@@ -37,12 +37,10 @@ class ContinuationShapeError(Error):
     not an exhausted field list.
     """
 
-    def __init__(self, expected: int, actual: int, message: str | None = None):
+    def __init__(self, expected: int, actual: int, message: str):
         self.expected = expected
         self.actual = actual
-        super().__init__(
-            message or f"continuation got {actual} value(s), expected {expected}"
-        )
+        super().__init__(message)
 
 
 class ExhaustedError(Error):

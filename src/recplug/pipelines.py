@@ -41,8 +41,6 @@ def _keep_left(a, _):
 def render_value(v: Value) -> str:
     """Canonical lexeme for a field value, or a subclass value's plain copy:
     True/False, minimal decimal, the string itself, shortest round-trip float."""
-    if isinstance(v, bool):
-        return "True" if v else "False"
     if type(v) not in PLAIN_COPY:
         v = PLAIN_COPY[TYPE_OF[kind_of(v)]](v)
     return str(v)

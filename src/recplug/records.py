@@ -47,9 +47,9 @@ def kind_of(v: Value) -> Kind:
     raise FieldTypeError(f"not a field value: type {_excerpt(type(v).__name__)}")
 
 
-#: The base slot of each exact type that has subclasses (bool has none): it
-#: copies a subclass value to a plain one and runs none of its overrides.
-PLAIN_COPY = {int: int.__int__, str: str.__str__, float: float.__float__}
+#: The base slot of each exact type: it copies a subclass value to a plain one
+#: and runs none of its overrides.  bool has no subclasses; its copy is itself.
+PLAIN_COPY = {bool: bool, int: int.__int__, str: str.__str__, float: float.__float__}
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +243,7 @@ def check_field(schema: RecordSchema, i: int, v: Value, error: type) -> Value:
     if type(v) is t and (t is not int or I64_MIN <= v <= I64_MAX):
         return v
     got = kind_of(v)
-    if got is not Kind.BOOL:  # bool has no subclasses
-        v = PLAIN_COPY[TYPE_OF[got]](v)
+    v = PLAIN_COPY[TYPE_OF[got]](v)
     want = schema.fields[i]
     if got is not want.kind:
         echo = _excerpt(v) if got is Kind.STR else _int_excerpt(v) if got is Kind.INT else repr(v)

@@ -6,6 +6,8 @@ import math
 import operator
 import re
 import struct
+import subprocess
+import sys
 from contextlib import contextmanager
 from enum import IntEnum
 from functools import reduce
@@ -53,6 +55,12 @@ from recplug.records import (
     register,
 )
 from recplug.scott import cps_destructor
+
+
+def recplug_child(argv, stdin=b"", flags=(), **kwargs):
+    """Run ``python *flags -m recplug *argv`` in a new interpreter, feeding it
+    ``stdin``; ``kwargs`` go to subprocess.run."""
+    return subprocess.run([sys.executable, *flags, "-m", "recplug", *argv], input=stdin, **kwargs)
 
 
 def field_list(*values):

@@ -26,7 +26,7 @@ from recplug.records import (
     schema_for,
 )
 
-from support import field_list, random_benchmark, random_device
+from support import field_list, random_benchmark, random_device, recplug_child
 from test_cli import FIXTURES, GOLDEN_CASES, GOLDENS
 
 DEVICE = schema_for("device")
@@ -311,16 +311,7 @@ def test_criterion_7_cli_goldens():
             ("benchmark.json", "benchmark"),
         ):
             payload = (FIXTURES / fixture).read_bytes()
-            encoded = subprocess.run(
-                [sys.executable, "-m", "recplug", "encode-bin", "--type", type_name],
-                input=payload,
-                stdout=subprocess.PIPE,
-                check=True,
-            )
-            decoded = subprocess.run(
-                [sys.executable, "-m", "recplug", "decode-bin", "--type", type_name],
-                input=encoded.stdout,
-                stdout=subprocess.PIPE,
-                check=True,
-            )
+            argv = ["--type", type_name]
+            encoded = recplug_child(["encode-bin", *argv], payload, stdout=subprocess.PIPE, check=True)
+            decoded = recplug_child(["decode-bin", *argv], encoded.stdout, stdout=subprocess.PIPE, check=True)
             assert decoded.stdout == payload

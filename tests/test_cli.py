@@ -22,6 +22,8 @@ from recplug.codecs import CONTROL, encode_binary, from_named, to_named
 from recplug.errors import CodecError
 from recplug.records import BENCHMARK_SCHEMA, I64_MAX, I64_MIN, REGISTRY, Benchmark, Kind
 
+from support import recplug_child
+
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
 #: The prefix of a diagnostic that names the line it arose on.
@@ -90,11 +92,13 @@ def test_golden_output(monkeypatch, capsys, golden, argv, fixture):
 
 @pytest.mark.parametrize("golden,argv,fixture", [case for case in GOLDEN_CASES if case[2]])
 def test_crlf_line_ends_give_the_golden(monkeypatch, capsys, golden, argv, fixture):
-    """One '\r' before each line's '\n' is part of the line end."""
+    """One '\r' before each line's '\n' is part of the line end, whether
+    stdin is text or bytes under a text layer."""
     stdin_text = (FIXTURES / fixture).read_text().replace("\n", "\r\n")
-    code, out, err = run_cli(monkeypatch, capsys, argv, stdin_text)
-    assert (code, err) == (0, "")
-    assert out.encode() == (GOLDENS / golden).read_bytes()
+    for reader in (io.StringIO, utf8_stdin):
+        code, out, err = run_cli(monkeypatch, capsys, argv, stdin_text, reader)
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDENS / golden).read_bytes()
 
 
 def test_usage_errors_exit_2(monkeypatch, capsys):
@@ -327,8 +331,7 @@ def test_a_process_streams_every_line():
     first, second = b'{"minor":1,"major":19,"block":false}\n', b'{"block":true,"major":2,"minor":3}\n'
 
     def run(stdin):
-        argv = [sys.executable, "-m", "recplug", "to-json", "--type", "device"]
-        return subprocess.run(argv, input=stdin, capture_output=True)
+        return recplug_child(["to-json", "--type", "device"], stdin, capture_output=True)
 
     proc = run(first + second)
     assert (proc.returncode, proc.stderr) == (0, b"")
@@ -344,8 +347,7 @@ def test_no_start_loads_dataclasses_or_inspect():
     check = "import recplug.cli, recplug.plug, sys; print({'dataclasses', 'inspect'} & set(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, check=True)
     assert proc.stdout == "set()\n"
-    argv = [sys.executable, "-X", "importtime", "-m", "recplug", "map-demo"]
-    proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+    proc = recplug_child(["map-demo"], "", ("-X", "importtime"), capture_output=True, text=True, check=True)
     imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
     assert "recplug.cli" in imported and not {"dataclasses", "inspect"} & imported
 
@@ -369,31 +371,23 @@ print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
 
 def test_no_start_loads_typing():
     """Every value type is a collections.namedtuple, so no start of recplug
-    loads typing.  The baseline is taken after the standard modules recplug
-    uses, so a stdlib that loads typing itself does not count."""
+    loads typing, nor dataclasses or inspect, even with no site hook that
+    could preload them.  The baseline is taken after the standard modules
+    recplug uses, so a stdlib that loads one itself does not count."""
     src = str(Path(__file__).parents[1] / "src")
     proc = subprocess.run([sys.executable, "-S", "-c", TYPING_CHECK, src],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == (GOLDENS / "map_demo.golden").read_text()
     code, *added = proc.stderr.split()
-    assert code == "0" and "recplug.cli" in added and "typing" not in added
+    assert code == "0" and "recplug.cli" in added
+    assert not {"dataclasses", "inspect", "typing"} & set(added)
 
 
 @pytest.mark.parametrize("fixture,type_name", [("device.json", "device"), ("benchmark.json", "benchmark")])
 def test_shell_round_trip(fixture, type_name):
     payload = (FIXTURES / fixture).read_bytes()
-    encoded = subprocess.run(
-        [sys.executable, "-m", "recplug", "encode-bin", "--type", type_name],
-        input=payload,
-        stdout=subprocess.PIPE,
-        check=True,
-    )
-    decoded = subprocess.run(
-        [sys.executable, "-m", "recplug", "decode-bin", "--type", type_name],
-        input=encoded.stdout,
-        stdout=subprocess.PIPE,
-        check=True,
-    )
+    encoded = recplug_child(["encode-bin", "--type", type_name], payload, stdout=subprocess.PIPE, check=True)
+    decoded = recplug_child(["decode-bin", "--type", type_name], encoded.stdout, stdout=subprocess.PIPE, check=True)
     assert decoded.stdout == payload
 
 
@@ -420,12 +414,7 @@ def test_closed_stdout_exits_1_without_traceback(argv, fixture):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "recplug", *argv],
-            input=stdin,
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-        )
+        proc = recplug_child(argv, stdin, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
@@ -491,12 +480,7 @@ def test_stdio_is_strict_utf8_whatever_the_locale(env):
     non-ASCII text leaves stdout as the same UTF-8 bytes."""
 
     def run(argv, stdin):
-        return subprocess.run(
-            [sys.executable, "-m", "recplug", *argv],
-            input=stdin,
-            capture_output=True,
-            env={**os.environ, **env},
-        )
+        return recplug_child(argv, stdin, capture_output=True, env={**os.environ, **env})
 
     for argv in (["encode-bin", "--type", "benchmark"], ["avg"]):
         proc = run(argv, _benchmark_line(b"a\xff"))
@@ -510,11 +494,7 @@ def test_an_undecodable_line_is_numbered_after_the_lines_before_it():
     """Every line before the first one that is not UTF-8 is printed, and the
     error names that line, however many lines the stdin buffer holds."""
     line = (FIXTURES / "device.json").read_bytes()
-    proc = subprocess.run(
-        [sys.executable, "-m", "recplug", "to-json", "--type", "device"],
-        input=line * 1000 + b"\xff\n" + line,
-        capture_output=True,
-    )
+    proc = recplug_child(["to-json", "--type", "device"], line * 1000 + b"\xff\n" + line, capture_output=True)
     assert proc.returncode == 1
     assert proc.stdout == (GOLDENS / "to_json_device.golden").read_bytes() * 1000
     assert proc.stderr == b"error: line 1001: stdin is not UTF-8: invalid start byte\n"
