@@ -56,7 +56,7 @@ from .errors import (
     TruncatedError,
     WrongValueKindError,
 )
-from .pipelines import depure_show, run_show, showa
+from .pipelines import _consumed, depure_show, run_show, showa
 from .records import (
     I64_MAX,
     I64_MIN,
@@ -104,11 +104,10 @@ def p_pure(v):
 
 
 def _ap(state, pa: Parser) -> tuple:
-    """One parser step: run ``pa`` at the cursor and apply its value to the
-    accumulator (a Builder or a function)."""
+    """One parser step: apply the value ``pa`` reads at the cursor to the Builder."""
     acc, src, pos = state
     v, pos = pa(src, pos)
-    return (apply_field(acc, v) if isinstance(acc, Builder) else acc(v)), src, pos
+    return apply_field(acc, v), src, pos
 
 
 def p_ap(pf, pa: Parser):
@@ -270,7 +269,7 @@ _BINARY_SHOW = partial(_show, piece=_bin_chunk)
 
 
 def encode_binary(record, schema: RecordSchema) -> bytes:
-    chunks, _ = _staged(schema, _BINARY_SHOW)(record)
+    chunks = _consumed("encode_binary", *_staged(schema, _BINARY_SHOW)(record))
     return b"".join(reversed(list_fields(chunks)))
 
 
@@ -348,7 +347,7 @@ _NAMED_SHOW = partial(_show, piece=_named_pair)
 
 def to_named(record, schema: RecordSchema) -> str:
     """Emit a flat object, keys in schema order, no whitespace."""
-    pairs, _ = _staged(schema, _NAMED_SHOW)(record)
+    pairs = _consumed("to_named", *_staged(schema, _NAMED_SHOW)(record))
     return "{" + ",".join(reversed(list_fields(pairs))) + "}"
 
 

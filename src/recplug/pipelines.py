@@ -59,11 +59,15 @@ def showa(pipeline, render):
     return hom_wrap(chop, pipeline, lambda s, a: (render(a), s))
 
 
+def _consumed(op: str, acc, *rests):
+    """``acc``, once no field list in ``rests`` holds a field: every pair-track state's exit."""
+    if rests.count(()) != len(rests):  # leftovers are counted only to report them
+        raise ArityError(op, sum(len(list_fields(r)) for r in rests), f"{op}: unconsumed fields left")
+    return acc
+
+
 def run_show(state) -> str:
-    stack, rest = state
-    if rest != ():
-        raise ArityError("run_show", len(list_fields(rest)), "run_show: unconsumed fields left")
-    return " ".join(reversed(list_fields(stack)))
+    return " ".join(reversed(list_fields(_consumed("run_show", *state))))
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +84,7 @@ def mapa(pipeline, f):
 
 
 def run_map(state):
-    acc, rest = state
-    if rest != ():
-        raise ArityError("run_map", len(list_fields(rest)), "run_map: unconsumed fields left")
-    return finish(acc)
+    return finish(_consumed("run_map", *state))
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +101,7 @@ def zipa(pipeline, f):
 
 
 def run_zip(state):
-    acc, rest_a, rest_b = state
-    if rest_a != () or rest_b != ():
-        left = len(list_fields(rest_a)) + len(list_fields(rest_b))
-        raise ArityError("run_zip", left, "run_zip: unconsumed fields left")
-    return finish(acc)
+    return finish(_consumed("run_zip", *state))
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,22 @@
 reference implementations shared by the test modules."""
 
 import dataclasses
+import io
 import math
 import operator
 import re
 import struct
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from enum import IntEnum
 from functools import reduce
 from json.encoder import encode_basestring
+from unittest.mock import patch
 
 from hypothesis import strategies as st
 
+from recplug.cli import main
 from recplug.codecs import (
     _b_bool,
     _b_int,
@@ -61,6 +64,17 @@ def recplug_child(argv, stdin=b"", flags=(), **kwargs):
     """Run ``python *flags -m recplug *argv`` in a new interpreter, feeding it
     ``stdin``; ``kwargs`` go to subprocess.run."""
     return subprocess.run([sys.executable, *flags, "-m", "recplug", *argv], input=stdin, **kwargs)
+
+
+def run_main(argv, stdin=""):
+    """``main(argv)`` in this process: its exit code, stdout and stderr.
+    ``stdin`` is text, read through a StringIO, or a file object."""
+    if isinstance(stdin, str):
+        stdin = io.StringIO(stdin)
+    out, err = io.StringIO(), io.StringIO()
+    with patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def field_list(*values):

@@ -4,18 +4,15 @@ Run with `pytest -s tests/test_acceptance.py` to see the pass/fail lines.
 All comparisons are exact, floats included.
 """
 
-import io
 import itertools
 import random
 import subprocess
-import sys
 from contextlib import contextmanager
 
 import pytest
 
 from recplug import codecs, pipelines, plug, scott
 from recplug.chop import chop2, chop2_left, nest2, unnest2
-from recplug.cli import main
 from recplug.errors import ArityError, ExhaustedError, OpenPortsError
 from recplug.records import (
     EXAMPLE_DEVICE,
@@ -26,7 +23,7 @@ from recplug.records import (
     schema_for,
 )
 
-from support import field_list, random_benchmark, random_device, recplug_child
+from support import field_list, random_benchmark, random_device, recplug_child, run_main
 from test_cli import FIXTURES, GOLDEN_CASES, GOLDENS
 
 DEVICE = schema_for("device")
@@ -288,22 +285,11 @@ def test_criterion_6_identity_and_projection_laws():
             assert pipelines.run_zip(right(da, db)) == db
 
 
-def _run_main(argv, stdin_text):
-    old_in, old_out = sys.stdin, sys.stdout
-    sys.stdin, sys.stdout = io.StringIO(stdin_text), io.StringIO()
-    try:
-        code = main(argv)
-        out = sys.stdout.getvalue()
-    finally:
-        sys.stdin, sys.stdout = old_in, old_out
-    return code, out
-
-
 def test_criterion_7_cli_goldens():
     with criterion(7, "CLI golden outputs byte-exact; encode-bin | decode-bin identity"):
         for golden, argv, fixture in GOLDEN_CASES:
             stdin_text = (FIXTURES / fixture).read_text() if fixture else ""
-            code, out = _run_main(argv, stdin_text)
+            code, out, _ = run_main(argv, stdin_text)
             assert code == 0, (argv, out)
             assert out.encode() == (GOLDENS / golden).read_bytes(), argv
         for fixture, type_name in (

@@ -8,9 +8,7 @@ import struct
 import subprocess
 import sys
 import typing
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +20,7 @@ from recplug.codecs import CONTROL, encode_binary, from_named, to_named
 from recplug.errors import CodecError
 from recplug.records import BENCHMARK_SCHEMA, I64_MAX, I64_MIN, REGISTRY, Benchmark, Kind
 
-from support import recplug_child
+from support import recplug_child, run_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -71,41 +69,34 @@ def utf8_stdin(text):
     return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
 
 
-def run_cli(monkeypatch, capsys, argv, stdin_text="", reader=io.StringIO):
-    monkeypatch.setattr("sys.stdin", reader(stdin_text))
-    code = main(argv)
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 @pytest.mark.parametrize("golden,argv,fixture", GOLDEN_CASES)
-def test_golden_output(monkeypatch, capsys, golden, argv, fixture):
+def test_golden_output(golden, argv, fixture):
     """main prints the golden whether stdin is text (a StringIO) or bytes
     under a text layer, which main reads and decodes itself."""
     stdin_text = (FIXTURES / fixture).read_text() if fixture else ""
     for reader in (io.StringIO, utf8_stdin):
-        code, out, err = run_cli(monkeypatch, capsys, argv, stdin_text, reader)
+        code, out, err = run_main(argv, reader(stdin_text))
         assert code == 0, err
         assert out.encode() == (GOLDENS / golden).read_bytes()
         assert err == ""
 
 
 @pytest.mark.parametrize("golden,argv,fixture", [case for case in GOLDEN_CASES if case[2]])
-def test_crlf_line_ends_give_the_golden(monkeypatch, capsys, golden, argv, fixture):
+def test_crlf_line_ends_give_the_golden(golden, argv, fixture):
     """One '\r' before each line's '\n' is part of the line end, whether
     stdin is text or bytes under a text layer."""
     stdin_text = (FIXTURES / fixture).read_text().replace("\n", "\r\n")
     for reader in (io.StringIO, utf8_stdin):
-        code, out, err = run_cli(monkeypatch, capsys, argv, stdin_text, reader)
+        code, out, err = run_main(argv, reader(stdin_text))
         assert (code, err) == (0, "")
         assert out.encode() == (GOLDENS / golden).read_bytes()
 
 
-def test_usage_errors_exit_2(monkeypatch, capsys):
-    assert run_cli(monkeypatch, capsys, ["bogus"])[0] == 2
-    assert run_cli(monkeypatch, capsys, ["show"])[0] == 2
-    assert run_cli(monkeypatch, capsys, ["show", "--type", "gadget"])[0] == 2
-    assert run_cli(monkeypatch, capsys, [])[0] == 2
+def test_usage_errors_exit_2():
+    assert run_main(["bogus"])[0] == 2
+    assert run_main(["show"])[0] == 2
+    assert run_main(["show", "--type", "gadget"])[0] == 2
+    assert run_main([])[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -163,8 +154,8 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
         pytest.param(["to-json", "--type", "device"], '{"a\\nb":1}\n', id="extra-key-newline"),
     ],
 )
-def test_domain_errors_exit_1(monkeypatch, capsys, argv, stdin_text):
-    code, out, err = run_cli(monkeypatch, capsys, argv, stdin_text)
+def test_domain_errors_exit_1(argv, stdin_text):
+    code, out, err = run_main(argv, stdin_text)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
@@ -184,8 +175,8 @@ def test_domain_errors_exit_1(monkeypatch, capsys, argv, stdin_text):
     ],
     ids=["hex-image", "lexeme", "unknown-key", "hex-image-astral", "lexeme-astral"],
 )
-def test_a_diagnostic_stays_short_however_long_the_line(monkeypatch, capsys, argv, line):
-    code, out, err = run_cli(monkeypatch, capsys, argv, line + "\n")
+def test_a_diagnostic_stays_short_however_long_the_line(argv, line):
+    code, out, err = run_main(argv, line + "\n")
     assert (code, out) == (1, "")
     assert err.startswith("error: line 1: ") and err.count("\n") == 1
     assert len(err.encode()) < 200
@@ -198,46 +189,46 @@ def benchmark_line(size):
     return line.replace('""', '"' + "Z" * (size - len(line)) + '"', 1)
 
 
-def test_a_line_of_max_line_bytes_passes(monkeypatch, capsys):
+def test_a_line_of_max_line_bytes_passes():
     line = benchmark_line(MAX_LINE)
     assert len(line.encode()) == MAX_LINE
-    code, out, err = run_cli(monkeypatch, capsys, ["to-json", "--type", "benchmark"], line + "\n", utf8_stdin)
+    code, out, err = run_main(["to-json", "--type", "benchmark"], utf8_stdin(line + "\n"))
     assert (code, err) == (0, "")
     assert out == line + "\n"
 
 
-def test_a_line_over_max_line_bytes_is_an_error_and_the_rest_is_never_read(monkeypatch, capsys):
-    line = benchmark_line(MAX_LINE + 1)
-    code, out, err = run_cli(monkeypatch, capsys, ["to-json", "--type", "benchmark"], line + "\n", utf8_stdin)
+def test_a_line_over_max_line_bytes_is_an_error_and_the_rest_is_never_read():
+    stdin = utf8_stdin(benchmark_line(MAX_LINE + 1) + "\n")
+    code, out, err = run_main(["to-json", "--type", "benchmark"], stdin)
     assert (code, out) == (1, "")
     assert err == f"error: line 1: line longer than {MAX_LINE} bytes\n"
-    assert sys.stdin.buffer.tell() == MAX_LINE + 1
+    assert stdin.buffer.tell() == MAX_LINE + 1
 
 
-def test_an_over_long_line_2_keeps_line_1_on_stdout(monkeypatch, capsys):
+def test_an_over_long_line_2_keeps_line_1_on_stdout():
     first = '{"block":false,"major":19,"minor":1}'
     stdin_text = first + "\n" + "Z" * (MAX_LINE + 1) + "\n"
-    code, out, err = run_cli(monkeypatch, capsys, ["to-json", "--type", "device"], stdin_text, utf8_stdin)
+    code, out, err = run_main(["to-json", "--type", "device"], utf8_stdin(stdin_text))
     assert (code, out) == (1, first + "\n")
     assert err == f"error: line 2: line longer than {MAX_LINE} bytes\n"
 
 
-def test_the_line_bound_counts_bytes_and_on_a_text_stdin_characters(monkeypatch, capsys):
+def test_the_line_bound_counts_bytes_and_on_a_text_stdin_characters(monkeypatch):
     """Eight U+1D11E are 32 bytes: over a bound of 8 from bytes, within it from a StringIO."""
     monkeypatch.setattr(cli, "MAX_LINE", 8)
     argv, line = ["parse", "--type", "device"], "\U0001D11E" * 8 + "\n"
-    code, _, err = run_cli(monkeypatch, capsys, argv, line, utf8_stdin)
+    code, _, err = run_main(argv, utf8_stdin(line))
     assert (code, err) == (1, "error: line 1: line longer than 8 bytes\n")
-    code, _, err = run_cli(monkeypatch, capsys, argv, line)
+    code, _, err = run_main(argv, line)
     assert code == 1 and "line longer than" not in err
-    code, _, err = run_cli(monkeypatch, capsys, argv, "\U0001D11E" * 9 + "\n")
+    code, _, err = run_main(argv, "\U0001D11E" * 9 + "\n")
     assert (code, err) == (1, "error: line 1: line longer than 8 bytes\n")
 
 
-def test_a_line_of_many_unknown_keys_gives_a_short_diagnostic(monkeypatch, capsys):
+def test_a_line_of_many_unknown_keys_gives_a_short_diagnostic():
     """20,000 unknown keys are named as their first three and their count."""
     line = "{" + ",".join(f'"k{i}":1' for i in range(20_000)) + "}\n"
-    code, out, err = run_cli(monkeypatch, capsys, ["to-json", "--type", "device"], line)
+    code, out, err = run_main(["to-json", "--type", "device"], line)
     assert (code, out) == (1, "")
     assert err == "error: line 1: unexpected key(s): 'k0', 'k1', 'k10', … (20000 keys)\n"
     assert len(err.encode()) < 300
@@ -286,9 +277,9 @@ TYPED_COMMANDS = ["show", "parse", "encode-bin", "decode-bin", "to-json", "from-
 
 @pytest.mark.parametrize("command", TYPED_COMMANDS)
 @pytest.mark.parametrize("type_id", sorted(REGISTRY))
-def test_every_registered_type(monkeypatch, capsys, type_id, command):
+def test_every_registered_type(type_id, command):
     stdin_line, expected = typed_io(REGISTRY[type_id], command)
-    code, out, err = run_cli(monkeypatch, capsys, [command, "--type", type_id], stdin_line + "\n")
+    code, out, err = run_main([command, "--type", type_id], stdin_line + "\n")
     if expected is None:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -298,31 +289,31 @@ def test_every_registered_type(monkeypatch, capsys, type_id, command):
 
 @pytest.mark.parametrize("command", TYPED_COMMANDS)
 @pytest.mark.parametrize("type_id", sorted(REGISTRY))
-def test_a_typed_command_reads_one_record_per_line(monkeypatch, capsys, type_id, command):
+def test_a_typed_command_reads_one_record_per_line(type_id, command):
     """Each line is one record, encoded and printed in order, and an empty
     stdin is none.  The first bad line ends the run with exit 1 and names
     its line; what the lines before it printed stays on stdout."""
     argv = [command, "--type", type_id]
     first_in, first_out = typed_io(REGISTRY[type_id], command)
     second_in, second_out = typed_io(REGISTRY[type_id], command, OTHER_SAMPLES)
-    assert run_cli(monkeypatch, capsys, argv, "") == (0, "", "")
-    code, out, err = run_cli(monkeypatch, capsys, argv, f"{first_in}\n{second_in}\n")
+    assert run_main(argv, "") == (0, "", "")
+    code, out, err = run_main(argv, f"{first_in}\n{second_in}\n")
     if first_out is None:  # the record has no form in this wire format
         assert (code, out) == (1, "") and err.startswith("error: line 1: ")
         return
     assert (code, out, err) == (0, f"{first_out}\n{second_out}\n", "")
-    code, out, err = run_cli(monkeypatch, capsys, argv, f"{first_in}\nnot a record\n{second_in}\n")
+    code, out, err = run_main(argv, f"{first_in}\nnot a record\n{second_in}\n")
     assert (code, out) == (1, first_out + "\n")
     assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
 
-def test_avg_names_the_line_whose_sum_overflows(monkeypatch, capsys):
+def test_avg_names_the_line_whose_sum_overflows():
     line = to_named(Benchmark(I64_MAX, "a", 1, "b"), BENCHMARK_SCHEMA) + "\n"
-    code, out, err = run_cli(monkeypatch, capsys, ["avg"], line * 3)
+    code, out, err = run_main(["avg"], line * 3)
     assert (code, out) == (1, "")
     assert err.startswith("error: line 2: integer out of 64-bit signed range") and err.count("\n") == 1
     # An empty stdin is no benchmark to average, and names no line.
-    assert run_cli(monkeypatch, capsys, ["avg"], "") == (1, "", "error: average: need at least one benchmark\n")
+    assert run_main(["avg"], "") == (1, "", "error: average: need at least one benchmark\n")
 
 
 def test_a_process_streams_every_line():
@@ -421,15 +412,7 @@ def test_closed_stdout_exits_1_without_traceback(argv, fixture):
     proc = _closing(">&-", argv, input=stdin, stderr=subprocess.PIPE)
     assert (proc.returncode, proc.stderr) == (1, b"")
     proc = _closing("<&-", argv, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == call_main(argv, "")
-
-
-def call_main(argv, stdin_text):
-    """main(argv) in process without pytest fixtures, for hypothesis."""
-    out, err = io.StringIO(), io.StringIO()
-    with patch("sys.stdin", io.StringIO(stdin_text)), redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_main(argv)
 
 
 # Text rich in control characters; every string has a UTF-8 image.
@@ -450,9 +433,9 @@ def test_decode_bin_then_from_json_keeps_one_line(data):
     schema = REGISTRY[data.draw(st.sampled_from(BINARY_TYPES), label="type")]
     record = schema.ctor(*(data.draw(BINARY_VALUES[f.kind]) for f in schema.fields))
     image = encode_binary(record, schema).hex()
-    code, line, err = call_main(["decode-bin", "--type", schema.type_id], image + "\n")
+    code, line, err = run_main(["decode-bin", "--type", schema.type_id], image + "\n")
     assert (code, err, line.count("\n")) == (0, "", 1)
-    code, out, err = call_main(["from-json", "--type", schema.type_id], line)
+    code, out, err = run_main(["from-json", "--type", schema.type_id], line)
     assert (code, out, err) == (0, line, "")
     assert from_named(out.rstrip("\n"), schema) == record
 
@@ -463,7 +446,7 @@ def test_lone_surrogate_has_no_binary_image():
     with pytest.raises(CodecError, match="no UTF-8 image"):
         encode_binary(Benchmark(1, "a\ud800", 2, "b"), BENCHMARK_SCHEMA)
     line = '{"firstApp":1,"firstLog":"a\ud800","secondApp":2,"secondLog":"b"}\n'
-    code, out, err = call_main(["encode-bin", "--type", "benchmark"], line)
+    code, out, err = run_main(["encode-bin", "--type", "benchmark"], line)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -600,14 +583,10 @@ def test_any_stdin_gives_an_exit_code_and_at_most_one_error_line(how, data):
     alone; after any other error, and for avg and the demos, it is empty."""
     argv = data.draw(st.sampled_from(BOUNDARY_ARGVS), label="argv")
     stdin = data.draw(boundary_stdin(argv, how), label="stdin")
-    out, err = io.StringIO(), io.StringIO()
     # stdin as the console script has it: bytes under a strict UTF-8 text
     # layer.  main reads the bytes, so a line that is not UTF-8 is numbered.
-    wrapped = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
-    with wrapped:
-        with patch("sys.stdin", wrapped), redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    with io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8") as wrapped:
+        code, out, err = run_main(argv, wrapped)
     assert code in (0, 1, 2)
     if code == 0:
         assert err == ""
@@ -616,7 +595,7 @@ def test_any_stdin_gives_an_exit_code_and_at_most_one_error_line(how, data):
     numbered = LINE_PREFIX.match(err)
     if code == 1 and numbered and argv[0] in TYPED_COMMANDS:
         lines = [raw.decode() for raw in list(io.BytesIO(stdin))[: int(numbered[1]) - 1]]
-        alone = [call_main(argv, line) for line in lines]
+        alone = [run_main(argv, line) for line in lines]
         assert [c for c, _, _ in alone] == [0] * len(lines)
         assert out == "".join(printed for _, printed, _ in alone)
     elif code == 1:
@@ -679,7 +658,7 @@ def test_a_generated_declaration_round_trips_or_is_refused(data):
         line = to_named(cls(*values), schema)
 
         def typed(command, stdin, *options):
-            return call_main([command, "--type", GENERATED, *options], stdin + "\n")
+            return run_main([command, "--type", GENERATED, *options], stdin + "\n")
 
         for command in ("to-json", "from-json"):
             assert typed(command, line) == (0, line + "\n", "")

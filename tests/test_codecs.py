@@ -25,7 +25,9 @@ from recplug.codecs import (
 )
 from recplug.chop import Pipeline
 from recplug.errors import (
+    ArityError,
     CodecError,
+    ContinuationShapeError,
     Error,
     ExtraKeyError,
     InvalidBoolError,
@@ -157,16 +159,17 @@ def test_p_ap_short_circuits():
 
     failing = p_bool  # "nope" is not a boolean
     with pytest.raises(ParseError):
-        p_ap(p_ap(p_pure(lambda v: v), failing), second)(["nope"], 0)
+        p_ap(p_ap(p_pure(Builder(_throwaway([Kind.BOOL]))), failing), second)(["nope"], 0)
     assert ran == []
 
 
 def test_p_ap_identity_step():
     streams = (["x"], ["False", "y"], [""])
+    seed = p_pure(Builder(_throwaway([Kind.STR])))
     for src in streams:
         direct = p_str(src, 0)
-        acc, rest, cursor = p_ap(p_pure(lambda v: v), p_str)(src, 0)
-        assert (acc, cursor) == direct
+        acc, rest, cursor = p_ap(seed, p_str)(src, 0)
+        assert (acc.supplied, cursor) == ((direct[0],), direct[1])
         assert rest is src
 
 
@@ -189,6 +192,21 @@ def test_lexeme_round_trip(d):
     line = run_show(show_record("device")(d))
     assert show_line(d, DEVICE, "lisp") == show_line(d, DEVICE, "scott") == line
     assert parse_record(lexemes(line), DEVICE) == d
+
+
+def test_every_encoder_refuses_a_destructor_with_an_extra_field():
+    """A destructor that yields one field more than its specs: no encoder drops it."""
+    plus = RecordSchema("device_plus", Device, lambda r: field_list(*r, 7), DEVICE.fields)
+    encoders = [("run_show", partial(show_line, schema=plus, encoding="lisp")),
+                ("encode_binary", partial(encode_binary, schema=plus)),
+                ("to_named", partial(to_named, schema=plus))]
+    for op, encode in encoders:
+        with pytest.raises(ArityError) as info:
+            encode(EXAMPLE_DEVICE)
+        assert (info.value.op, info.value.remaining) == (op, 1)
+        assert str(info.value) == f"{op}: unconsumed fields left"
+    with pytest.raises(ContinuationShapeError):
+        show_line(EXAMPLE_DEVICE, plus, "scott")
 
 
 def test_binary_goldens():
