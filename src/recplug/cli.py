@@ -14,23 +14,26 @@ at the console and whatever the locale; a text stdin with no bytes under
 it (a StringIO) counts as decoded, and a closed stdin as empty.  The
 console script writes stdout as UTF-8.  Exit codes: 0 success, 1 domain
 error or undecodable stdin (one-line diagnostic on stderr) or closed
-stdout, 2 usage error.  The first error on a line, a line that is not
-UTF-8 or holds more than `MAX_LINE` bytes included, ends the run with
-"error: line N: <message>"; what lines 1 to N-1 printed stays on stdout.
+stdout, 2 usage error.  The first error on a line, an input line that is
+not UTF-8 or any line in or out longer than `MAX_LINE` bytes included, ends
+the run with "error: line N: <message>"; what lines 1 to N-1 printed stays.
 """
 
 import argparse
 import os
-import re
 import sys
 
 from . import codecs, pipelines, records, scott
 from .errors import Error
 from .records import EXAMPLE_DEVICE, RecordSchema, schema_for
 
-_HEX_IMAGE = re.compile(r"(?:[0-9a-f]{2})*")
-#: The most bytes a line may hold before its "\n" (characters, on a text-only stdin).
+#: The most bytes a line in or out may hold before its "\n" (characters, on a text-only stdin).
 MAX_LINE = 8 * 1024 * 1024
+
+
+def _check_output(size: int) -> None:  # size: an output line's UTF-8 bytes, or a floor on them
+    if size > MAX_LINE:
+        raise Error(f"output line longer than {MAX_LINE} bytes")
 
 
 def _lexeme_record(line: str, schema: RecordSchema):
@@ -38,7 +41,7 @@ def _lexeme_record(line: str, schema: RecordSchema):
 
 
 def _hex_record(line: str, schema: RecordSchema):
-    if not _HEX_IMAGE.fullmatch(line):
+    if len(line) % 2 or line.strip("0123456789abcdef"):
         raise Error(f"not a hex image: {records._excerpt(line)}")
     return codecs.decode_binary(bytes.fromhex(line), schema)
 
@@ -69,7 +72,11 @@ def _remap_demo(lines, encoding):
 
 
 def _avg(lines, encoding):
-    return pipelines.average(codecs.from_named(line, records.BENCHMARK_SCHEMA) for line in lines)
+    def benchmarks(logs=0):  # log characters so far; the average's line spells each at least once
+        for b in (codecs.from_named(line, records.BENCHMARK_SCHEMA) for line in lines):
+            _check_output(logs := logs + len(b.first_log) + len(b.second_log))
+            yield b
+    return pipelines.average(benchmarks())
 
 
 # (command, help, make, write, takes --encoding).  A typed command (it takes
@@ -134,11 +141,14 @@ def main(argv=None) -> int:
 
     try:
         if isinstance(args.write, RecordSchema):  # avg and the demos
-            print(codecs.to_named(args.make(lines(), args.encoding), args.write))
+            outs = [codecs.to_named(args.make(lines(), args.encoding), args.write)]
         else:
             schema = schema_for(args.type)
-            for line in lines():
-                print(args.write(args.make(line, schema), schema, args.encoding))
+            outs = (args.write(args.make(line, schema), schema, args.encoding) for line in lines())
+        for out in outs:  # a character is 1 to 4 UTF-8 bytes, so a short line is not counted
+            if len(out) > MAX_LINE // 4:
+                _check_output(len(out.encode("utf-8", "surrogatepass")))
+            print(out)
     except Error as exc:
         print(f"error: line {read}: {exc}" if read else f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,8 +7,10 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,9 @@ from hypothesis import strategies as st
 
 from recplug import cli, pipelines, register
 from recplug.cli import MAX_LINE, main
-from recplug.codecs import CONTROL, encode_binary, from_named, to_named
+from recplug.codecs import CONTROL, encode_binary, from_named, show_line, to_named
 from recplug.errors import CodecError
-from recplug.records import BENCHMARK_SCHEMA, I64_MAX, I64_MIN, REGISTRY, Benchmark, Kind
+from recplug.records import AVGS_SCHEMA, BENCHMARK_SCHEMA, I64_MAX, I64_MIN, REGISTRY, Benchmark, Kind
 
 from support import recplug_child, run_main
 
@@ -137,7 +139,7 @@ def test_usage_errors_exit_2():
             '{"firstApp":1,"firstLog":"a\tb","secondApp":2,"secondLog":"c"}\n',
             id="from-json-raw-tab",
         ),
-        # Hex images are lowercase, two digits per byte, with no spaces.
+        # Hex images are lowercase ASCII digits, two per byte, with nothing else.
         pytest.param(
             ["decode-bin", "--type", "device"], "00 1300000000000000 0100000000000000\n", id="hex-spaced"
         ),
@@ -146,6 +148,9 @@ def test_usage_errors_exit_2():
             "0A00000000000000010000006114000000000000000100000062\n",
             id="hex-uppercase",
         ),
+        pytest.param(["decode-bin", "--type", "device"], "001300000000000000010000000000000\n", id="hex-odd-length"),
+        pytest.param(["decode-bin", "--type", "device"], "\u0660\u0660\n", id="hex-arabic-indic-zeros"),
+        pytest.param(["decode-bin", "--type", "device"], "0013000000000000000100000000000000\t\n", id="hex-trailing-tab"),
         # Only one '\r', and only before a '\n', belongs to the line end.
         pytest.param(["to-json", "--type", "device"], '{"block":false,"major":19,"minor":1}\r', id="cr-at-eof"),
         pytest.param(["to-json", "--type", "device"], '{"block":false,"major":19,"minor":1}\r\r\n', id="cr-cr-lf"),
@@ -154,7 +159,7 @@ def test_usage_errors_exit_2():
         pytest.param(["to-json", "--type", "device"], '{"a\\nb":1}\n', id="extra-key-newline"),
     ],
 )
-def test_domain_errors_exit_1(argv, stdin_text):
+def test_domain_errors_exit_1(argv, stdin_text, request):
     code, out, err = run_main(argv, stdin_text)
     assert code == 1
     assert out == ""
@@ -162,6 +167,8 @@ def test_domain_errors_exit_1(argv, stdin_text):
     assert err.count("\n") == 1  # one-line diagnostic
     # Over-long literals are cut short in the message after its line number.
     assert len(LINE_PREFIX.sub("error: ", err)) < 100
+    if request.node.callspec.id.startswith("hex-"):
+        assert err.startswith("error: line 1: not a hex image: ")
 
 
 @pytest.mark.parametrize(
@@ -223,6 +230,24 @@ def test_the_line_bound_counts_bytes_and_on_a_text_stdin_characters(monkeypatch)
     assert code == 1 and "line longer than" not in err
     code, _, err = run_main(argv, "\U0001D11E" * 9 + "\n")
     assert (code, err) == (1, "error: line 1: line longer than 8 bytes\n")
+
+
+def test_an_output_line_over_max_line_bytes_is_refused_whole(monkeypatch):
+    """A line main would write past MAX_LINE UTF-8 bytes ends the run with
+    exit 1; nothing of it is written, and the lines before it stay.  A lone
+    surrogate, which from-json admits from a text stdin, counts as 3 bytes.
+    avg refuses on the line that takes its logs past MAX_LINE characters."""
+    line = benchmark_line(5_000_057)
+    code, out, err = run_main(["encode-bin", "--type", "benchmark"], utf8_stdin(line + "\n"))
+    assert (code, out, err) == (1, "", f"error: line 1: output line longer than {MAX_LINE} bytes\n")
+    monkeypatch.setattr(cli, "MAX_LINE", 64)
+    line = '{"firstApp":1,"firstLog":"a","secondApp":2,"secondLog":"b"}'
+    surrogates = line.replace('"a"', '"' + "\ud800" * 4 + '"')  # 62 characters, 70 bytes
+    code, out, err = run_main(["from-json", "--type", "benchmark"], f"{line}\n{surrogates}\n")
+    assert (code, out, err) == (1, line + "\n", "error: line 2: output line longer than 64 bytes\n")
+    monkeypatch.setattr(cli, "MAX_LINE", 100)
+    logs = line.replace('"a"', '"' + "Z" * 39 + '"') + "\n"  # 97 bytes, 40 of them log characters
+    assert run_main(["avg"], logs * 4) == (1, "", "error: line 3: output line longer than 100 bytes\n")
 
 
 def test_a_line_of_many_unknown_keys_gives_a_short_diagnostic():
@@ -307,6 +332,28 @@ def test_a_typed_command_reads_one_record_per_line(type_id, command):
     assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [*TYPED_COMMANDS, "avg"])
+def test_peak_memory_is_at_most_8_bytes_per_byte_of_line(command):
+    """main's traced peak on one line of about 1 MB, in the wire form that
+    the command reads, is at most 8 bytes per byte of the line."""
+    log = "Z" * 1_000_000
+    line = {
+        "parse": f"1 {log} 2 b",
+        "decode-bin": encode_binary(Benchmark(1, log[:500_000], 2, "b"), BENCHMARK_SCHEMA).hex(),
+    }.get(command, to_named(Benchmark(1, log, 2, "b"), BENCHMARK_SCHEMA))
+    argv = [command] if command == "avg" else [command, "--type", "benchmark"]
+    stdin = utf8_stdin(line + "\n")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        code, _, err = run_main(argv, stdin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak / len(line) <= 8
+
+
 def test_avg_names_the_line_whose_sum_overflows():
     line = to_named(Benchmark(I64_MAX, "a", 1, "b"), BENCHMARK_SCHEMA) + "\n"
     code, out, err = run_main(["avg"], line * 3)
@@ -372,14 +419,6 @@ def test_no_start_loads_typing():
     code, *added = proc.stderr.split()
     assert code == "0" and "recplug.cli" in added
     assert not {"dataclasses", "inspect", "typing"} & set(added)
-
-
-@pytest.mark.parametrize("fixture,type_name", [("device.json", "device"), ("benchmark.json", "benchmark")])
-def test_shell_round_trip(fixture, type_name):
-    payload = (FIXTURES / fixture).read_bytes()
-    encoded = recplug_child(["encode-bin", "--type", type_name], payload, stdout=subprocess.PIPE, check=True)
-    decoded = recplug_child(["decode-bin", "--type", type_name], encoded.stdout, stdout=subprocess.PIPE, check=True)
-    assert decoded.stdout == payload
 
 
 def _closing(redirect, argv, **kwargs):
@@ -636,10 +675,13 @@ def one_error(result):
 @given(data=st.data())
 def test_a_generated_declaration_round_trips_or_is_refused(data):
     """Any declaration register admits survives every typed command in
-    process: to-json, from-json, encode-bin then decode-bin, show on both
-    tracks then parse give back the JSON line exactly, or exit 1 with one
-    `error: ` line where the wire form has no image of the record.  A
-    declaration register refuses raises ValueError and registers nothing."""
+    process, under the real line bound or a small one.  For each writer and
+    its reader (to-json then from-json, encode-bin and decode-bin both ways,
+    show on both tracks then parse, and parse then show), the reader gives
+    back the writer's input exactly; or the writer exits 1 with one `error: `
+    line and prints nothing, just where its wire form has no image of the
+    record or a line in or out is over the bound.  A declaration register
+    refuses raises ValueError and registers nothing."""
     kinds = data.draw(st.lists(st.sampled_from(Kind), max_size=8), label="kinds")
     attrs = [f"f{i}" for i in range(len(kinds))]
     cls = declare(data.draw(st.sampled_from(["namedtuple", "NamedTuple", "dataclass"]), label="form"), attrs)
@@ -655,25 +697,61 @@ def test_a_generated_declaration_round_trips_or_is_refused(data):
     try:
         assert not surrogate and len(set(wires or attrs)) == len(kinds)
         values = [data.draw(GENERATED_VALUES[k]) for k in kinds]
-        line = to_named(cls(*values), schema)
+        record = cls(*values)
+        # The record in each wire form, or None where the form has no image of it.
+        line = to_named(record, schema)
+        image = None if Kind.REAL in kinds else encode_binary(record, schema).hex()
+        unshowable = any(isinstance(v, str) and (" " in v or CONTROL.search(v)) for v in values)
+        lexeme = None if unshowable else show_line(record, schema, "lisp")
+        sizes = [len(form.encode()) for form in (line, image, lexeme) if form is not None]
+        bound = data.draw(st.one_of(st.just(MAX_LINE), st.integers(1, max(sizes) + 1)), label="bound")
+        # (writer, reader, writer's input, writer's output, writer's options)
+        pairs = [
+            ("to-json", "from-json", line, line),
+            ("encode-bin", "decode-bin", line, image),
+            ("decode-bin", "encode-bin", image, line),
+            ("show", "parse", line, lexeme, "--encoding", "lisp"),
+            ("show", "parse", line, lexeme, "--encoding", "scott"),
+            ("parse", "show", lexeme, line),
+        ]
 
         def typed(command, stdin, *options):
-            return run_main([command, "--type", GENERATED, *options], stdin + "\n")
+            return run_main([command, "--type", GENERATED, *options], utf8_stdin(stdin + "\n"))
 
-        for command in ("to-json", "from-json"):
-            assert typed(command, line) == (0, line + "\n", "")
-        encoded = typed("encode-bin", line)
-        if Kind.REAL in kinds:  # a real has no binary form
-            assert one_error(encoded)
-        else:
-            assert encoded[0::2] == (0, "")
-            assert typed("decode-bin", encoded[1].rstrip("\n")) == (0, line + "\n", "")
-        shown = [typed("show", line, "--encoding", track) for track in ("lisp", "scott")]
-        assert shown[0] == shown[1]
-        if any(isinstance(v, str) and (" " in v or CONTROL.search(v)) for v in values):
-            assert one_error(shown[0])
-        else:
-            assert shown[0][0::2] == (0, "")
-            assert typed("parse", shown[0][1].rstrip("\n")) == (0, line + "\n", "")
+        def fits(text):
+            return len(text.encode()) <= bound
+
+        with mock.patch.object(cli, "MAX_LINE", bound):
+            for writer, reader, source, target, *options in pairs:
+                if source is None:  # the record has no form the writer reads
+                    continue
+                written = typed(writer, source, *options)
+                if target is None or not (fits(source) and fits(target)):
+                    assert one_error(written), (writer, written)
+                else:
+                    assert written == (0, target + "\n", ""), writer
+                    assert typed(reader, target) == (0, source + "\n", ""), reader
     finally:
         REGISTRY.pop(GENERATED, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_avg_round_trips_or_is_refused(data):
+    """avg's line, read by from-json --type benchmark_avg, gives back the
+    same line, under the real line bound or a small one; or avg exits 1
+    with one `error: ` line and prints nothing, just where an input line or
+    the average's line is over the bound."""
+    apps = st.integers(-(2**40), 2**40)
+    benchmarks = data.draw(st.lists(st.builds(Benchmark, apps, utf8_text, apps, utf8_text), min_size=1, max_size=4))
+    lines = [to_named(b, BENCHMARK_SCHEMA) for b in benchmarks]
+    average = to_named(pipelines.average(benchmarks), AVGS_SCHEMA)
+    sizes = [len(text.encode()) for text in (*lines, average)]
+    bound = data.draw(st.one_of(st.just(MAX_LINE), st.integers(1, max(sizes) + 1)), label="bound")
+    with mock.patch.object(cli, "MAX_LINE", bound):
+        written = run_main(["avg"], utf8_stdin("".join(line + "\n" for line in lines)))
+        if max(sizes) > bound:
+            assert one_error(written), written
+        else:
+            assert written == (0, average + "\n", "")
+            assert run_main(["from-json", "--type", "benchmark_avg"], utf8_stdin(written[1])) == written
