@@ -13,6 +13,7 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from enum import IntEnum
 from functools import reduce
 from json.encoder import encode_basestring
+from pathlib import Path
 from unittest.mock import patch
 
 from hypothesis import strategies as st
@@ -119,6 +120,41 @@ def random_benchmark(rng, app_lo=-(10**6), app_hi=10**6) -> Benchmark:
         rng.randint(app_lo, app_hi),
         random_text(rng),
     )
+
+
+# ---------------------------------------------------------------------------
+# Test data shared by the test modules.
+
+#: The map demo's output on EXAMPLE_DEVICE.
+MAPPED_DEVICE = Device(True, 119, 201)
+#: The map demo's and zip demo's field functions, as plug pieces.
+DEVICE_PIECES = [lambda b: not b, lambda x: x + 100, lambda y: y + 200]
+ZIP_PIECES = [lambda a, b: a and b, lambda a, b: a + b, lambda a, b: a + b]
+
+int64 = st.integers(min_value=I64_MIN, max_value=I64_MAX)
+devices = st.builds(Device, st.booleans(), int64, int64)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDENS = Path(__file__).parent / "goldens"
+# (golden file, argv, stdin fixture or None)
+GOLDEN_CASES = [
+    ("show_device.golden", ["show", "--type", "device"], "device.json"),
+    ("show_device.golden", ["show", "--type", "device", "--encoding", "scott"], "device.json"),
+    ("show_benchmark.golden", ["show", "--type", "benchmark"], "benchmark.json"),
+    ("parse_device.golden", ["parse", "--type", "device"], "device_show.txt"),
+    ("map_demo.golden", ["map-demo"], None),
+    ("map_demo.golden", ["map-demo", "--encoding", "scott"], None),
+    ("zip_demo.golden", ["zip-demo"], None),
+    ("zip_demo.golden", ["zip-demo", "--encoding", "scott"], None),
+    ("remap_demo.golden", ["remap-demo"], None),
+    ("avg.golden", ["avg"], "benchmarks.jsonl"),
+    ("encode_bin_device.golden", ["encode-bin", "--type", "device"], "device.json"),
+    ("decode_bin_device.golden", ["decode-bin", "--type", "device"], "device.hex"),
+    ("encode_bin_benchmark.golden", ["encode-bin", "--type", "benchmark"], "benchmark.json"),
+    ("decode_bin_benchmark.golden", ["decode-bin", "--type", "benchmark"], "benchmark.hex"),
+    ("to_json_device.golden", ["to-json", "--type", "device"], "device_permuted.json"),
+    ("from_json_benchmark.golden", ["from-json", "--type", "benchmark"], "benchmark.json"),
+]
 
 
 WIDE_KINDS = (Kind.BOOL, Kind.INT, Kind.STR)

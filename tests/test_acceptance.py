@@ -23,14 +23,14 @@ from recplug.records import (
     schema_for,
 )
 
-from support import field_list, random_benchmark, random_device, recplug_child, run_main
-from test_cli import FIXTURES, GOLDEN_CASES, GOLDENS
+from support import (
+    DEVICE_PIECES, FIXTURES, GOLDEN_CASES, GOLDENS, MAPPED_DEVICE, ZIP_PIECES,
+    field_list, random_benchmark, random_device, recplug_child, run_main,
+)
 
 DEVICE = schema_for("device")
 BENCHMARK = schema_for("benchmark")
 AVGS = schema_for("benchmark_avg")
-
-MAPPED_DEVICE = Device(True, 119, 201)
 
 
 @contextmanager
@@ -192,10 +192,6 @@ def test_criterion_4_combinator_laws():
                 assert materialize(scott.chop2_cps(seed(), step)) == materialize(
                     scott.chop2_cps_via_chop(seed(), step)
                 )
-
-
-DEVICE_PIECES = [lambda b: not b, lambda x: x + 100, lambda y: y + 200]
-ZIP_PIECES = [lambda a, b: a and b, lambda a, b: a + b, lambda a, b: a + b]
 
 
 def test_criterion_5_plug_coherence():

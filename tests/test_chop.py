@@ -11,9 +11,7 @@ from recplug.chop import (
     hom_wrap,
     hom_wrap0,
     hom_wrap2,
-    nest2,
     nest3,
-    unnest2,
     unnest3,
 )
 from recplug.errors import ArityError
@@ -106,26 +104,6 @@ def test_chop2_left_arity_error():
         chop2_left(((0, ()), field_list(1)), POOL2[0][1])
     with pytest.raises(ArityError):
         chop2_left(((0, field_list(1)), ()), POOL2[0][1])
-
-
-def _small_states():
-    for la, lb in itertools.product(range(5), range(5)):
-        ra = field_list(*range(1, la + 1))
-        rb = field_list(*range(10, 10 * (lb + 1), 10))
-        yield (7, ra, rb)
-
-
-def test_chop2_left_equals_chop2_under_reassociation():
-    # Brute-force oracle over every small state and every pool step.
-    for state in _small_states():
-        for _, step in POOL2:
-            try:
-                expected = chop2(state, step)
-            except ArityError:
-                with pytest.raises(ArityError):
-                    chop2_left(nest2(state), step)
-                continue
-            assert unnest2(chop2_left(nest2(state), step)) == expected
 
 
 def test_chop3_defining_equation():

@@ -71,7 +71,9 @@ from support import (
     XReal,
     XStr,
     builder_values,
+    devices,
     field_list,
+    int64,
     nested_p_ap,
     random_device,
     ref_decode_binary,
@@ -95,8 +97,6 @@ BENCHMARK_IMAGE_HEX = (
     "0a" + "00" * 7 + "01000000" + "61" + "14" + "00" * 7 + "01000000" + "62"
 )
 
-int64 = st.integers(min_value=I64_MIN, max_value=I64_MAX)
-devices = st.builds(Device, st.booleans(), int64, int64)
 wire_text = st.text(max_size=32).filter(lambda s: len(s.encode("utf-8")) <= 64)
 benchmarks = st.builds(Benchmark, int64, wire_text, int64, wire_text)
 # Text rich in the characters below U+0020 that JSON strings must escape.
@@ -207,12 +207,6 @@ def test_every_encoder_refuses_a_destructor_with_an_extra_field():
         assert str(info.value) == f"{op}: unconsumed fields left"
     with pytest.raises(ContinuationShapeError):
         show_line(EXAMPLE_DEVICE, plus, "scott")
-
-
-def test_binary_goldens():
-    assert encode_binary(EXAMPLE_DEVICE, DEVICE).hex() == DEVICE_IMAGE_HEX
-    assert encode_binary(Device(True, 0, 0), DEVICE).hex() == TRUE_ZERO_IMAGE_HEX
-    assert encode_binary(Benchmark(10, "a", 20, "b"), BENCHMARK).hex() == BENCHMARK_IMAGE_HEX
 
 
 def test_binary_goldens_decode():
@@ -788,7 +782,7 @@ def test_non_finite_reals_fall_back_to_the_scanner(type_id, miss):
 
 @settings(max_examples=400)
 @given(st.data(), st.sampled_from(sorted(REGISTRY)).map(schema_for))
-def test_front_end_matches_scanner(data, schema):
+def test_near_miss_lines_match_the_reference(data, schema):
     """from_named gives ref_from_named's record, spelled the same by repr
     (so -0.0 stays -0.0), or its error, on every line."""
     text = data.draw(near_miss_lines(schema))

@@ -25,14 +25,12 @@ from recplug.pipelines import (
     mapa,
     pop,
     push,
-    remap_device_demo,
     render_value,
     run_map,
     run_show,
     run_zip,
     show_record,
     showa,
-    zip_device_demo,
     zipa,
 )
 from recplug.records import (
@@ -46,9 +44,7 @@ from recplug.records import (
     schema_for,
 )
 
-from support import field_list, random_benchmark, random_device
-
-MAPPED_DEVICE = Device(True, 119, 201)  # map demo output, checked below
+from support import MAPPED_DEVICE, field_list, random_benchmark
 
 
 def average_oracle(outputs):
@@ -84,10 +80,6 @@ def test_showa_single_field():
     assert p(None) == (("42", ()), ())
 
 
-def test_show_device():
-    assert run_show(show_record("device")(EXAMPLE_DEVICE)) == "False 19 1"
-
-
 def test_show_too_many_steps():
     p = show_record("device")
     p = showa(p, render_value)  # fourth step on a three-field record
@@ -107,10 +99,6 @@ def test_depure_map():
     assert rest == (False, (19, (1, ())))
     with pytest.raises(UnknownTypeError):
         depure_map("gadget", destructure_device)
-
-
-def test_map_device_demo():
-    assert run_map(map_device_demo()(EXAMPLE_DEVICE)) == MAPPED_DEVICE
 
 
 @given(st.builds(Device, st.booleans(), st.integers(-(2**62), 2**62), st.integers(-(2**62), 2**62)))
@@ -188,25 +176,6 @@ def test_depure_zip_mismatched_arity_fails_late():
         run_zip(p(EXAMPLE_DEVICE, Benchmark(1, "a", 2, "b")))
 
 
-def test_zip_device_demo():
-    assert run_zip(zip_device_demo()(EXAMPLE_DEVICE, MAPPED_DEVICE)) == Device(
-        False, 138, 202
-    )
-
-
-def test_zip_projection_laws():
-    rng = random.Random(7)
-    for _ in range(25):
-        da, db = random_device(rng), random_device(rng)
-        left = depure_zip("device", destructure_device, destructure_device)
-        right = depure_zip("device", destructure_device, destructure_device)
-        for _ in range(3):
-            left = zipa(left, lambda a, b: a)
-            right = zipa(right, lambda a, b: b)
-        assert run_zip(left(da, db)) == da
-        assert run_zip(right(da, db)) == db
-
-
 def test_zipa_second_rest_exhausted():
     p = depure_zip("device", destructure_device, lambda r: field_list(True))
     p = zipa(p, lambda a, b: a and b)
@@ -243,10 +212,6 @@ def test_pop_push_dup_steps():
         pop(empty)(None)
     with pytest.raises(ArityError):
         dup(empty)(None)
-
-
-def test_remap_device_demo():
-    assert run_map(remap_device_demo()(EXAMPLE_DEVICE)) == Device(True, 1, 1)
 
 
 def test_average_fixture():

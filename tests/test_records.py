@@ -30,11 +30,8 @@ from recplug.records import (
     schema_for,
 )
 
-from support import XInt, XStr, builder_values, ref_apply_field, ref_finish
+from support import XInt, XStr, builder_values, devices, int64, ref_apply_field, ref_finish
 
-int64 = st.integers(min_value=I64_MIN, max_value=I64_MAX)
-
-devices = st.builds(Device, st.booleans(), int64, int64)
 benchmarks = st.builds(Benchmark, int64, st.text(), int64, st.text())
 
 

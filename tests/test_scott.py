@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import random
 from functools import partial, reduce
 
@@ -14,13 +13,11 @@ from recplug.pipelines import (
     depure_zip,
     mapa,
     render_value,
-    map_device_demo,
     run_map,
     run_show,
     run_zip,
     show_record,
     showa,
-    zip_device_demo,
     zipa,
 )
 from recplug.records import (
@@ -58,16 +55,14 @@ from recplug.scott import (
 )
 
 from support import (
+    MAPPED_DEVICE,
     WIDE_MAPS,
     WIDE_ZIPS,
     destructure_wide_cps,
-    random_benchmark,
     random_device,
     random_wide,
     registered_wide,
 )
-
-MAPPED_DEVICE = Device(True, 119, 201)
 
 
 def cps_of(*fields):
@@ -191,35 +186,6 @@ def test_zipa_cps_projection_law():
         for _ in range(3):
             p = zipa_cps(p, lambda a, b: a)
         assert run_zip_cps(p(da, db)) == da
-
-
-def materialize2(state):
-    """Flatten a two-record CPS state into comparable plain data."""
-
-    def outer(fused, *rest_b):
-        return (fused(lambda *xs: list(xs)), list(rest_b))
-
-    return state(outer)
-
-
-def test_chop2_cps_equals_chop_derived_form():
-    # Exhaustive small states x the step pool, compared pointwise.  The
-    # prepend step is order-sensitive, so swapped field arguments would show.
-    pool = [
-        ("prepend", lambda s, a, c: ((a, c), s)),
-        ("drop", lambda s, a, c: s),
-        ("sum", lambda s, a, c: s + a + c),
-        ("mul-add", lambda s, a, c: s + a * c),
-        ("max", lambda s, a, c: max(s, a, c)),
-    ]
-    for la, lb in itertools.product(range(1, 5), range(1, 5)):
-        fields_a = list(range(1, la + 1))
-        fields_b = list(range(10, 10 * (lb + 1), 10))
-        for _, step in pool:
-            seed = lambda: cons_cps(cons_cps(7, cps_of(*fields_a)), cps_of(*fields_b))
-            direct = materialize2(chop2_cps(seed(), step))
-            derived = materialize2(chop2_cps_via_chop(seed(), step))
-            assert direct == derived
 
 
 def test_chop2_cps_matches_pair_track_on_full_pipelines():
@@ -355,30 +321,6 @@ def test_a_seed_shares_one_empty_builder_across_runs(seed, wrap, run, records, a
         assert run(first(*[d] * records)) == d
     assert empty.supplied == ()
     assert accumulator(seed(*[EXAMPLE_DEVICE] * records)) is empty
-
-
-def test_track_equivalence_on_random_devices():
-    rng = random.Random(31)
-    for _ in range(50):
-        d = random_device(rng)
-        assert show_line(d, schema_for("device"), "scott") == run_show(
-            show_record("device")(d)
-        )
-        assert run_map_cps(map_device_demo_cps()(d)) == run_map(map_device_demo()(d))
-    for _ in range(25):
-        da, db = random_device(rng), random_device(rng)
-        assert run_zip_cps(zip_device_demo_cps()(da, db)) == run_zip(
-            zip_device_demo()(da, db)
-        )
-
-
-def test_track_equivalence_on_random_benchmarks():
-    rng = random.Random(37)
-    for _ in range(25):
-        b = random_benchmark(rng)
-        assert show_line(b, schema_for("benchmark"), "scott") == run_show(
-            show_record("benchmark")(b)
-        )
 
 
 @pytest.mark.parametrize("arity", [1000, 5000])
