@@ -67,6 +67,11 @@ def recplug_child(argv, stdin=b"", flags=(), **kwargs):
     return subprocess.run([sys.executable, *flags, "-m", "recplug", *argv], input=stdin, **kwargs)
 
 
+def utf8_stdin(text):
+    """A stdin like the console script's: a strict UTF-8 text layer over bytes."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+
 def run_main(argv, stdin=""):
     """``main(argv)`` in this process: its exit code, stdout and stderr.
     ``stdin`` is text, read through a StringIO, or a file object."""

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the pass/fail lines.
 All comparisons are exact, floats included.
 """
 
+import io
 import itertools
 import random
 import subprocess
@@ -25,7 +26,7 @@ from recplug.records import (
 
 from support import (
     DEVICE_PIECES, FIXTURES, GOLDEN_CASES, GOLDENS, MAPPED_DEVICE, ZIP_PIECES,
-    field_list, random_benchmark, random_device, recplug_child, run_main,
+    field_list, random_benchmark, random_device, recplug_child, run_main, utf8_stdin,
 )
 
 DEVICE = schema_for("device")
@@ -136,16 +137,14 @@ def test_criterion_3_round_trips():
         for _ in range(200):
             avgs = Benchmark(rng.uniform(-1e18, 1e18), "x", rng.uniform(-1e6, 1e6), "y")
             assert codecs.from_named(codecs.to_named(avgs, AVGS), AVGS) == avgs
-        # byte-exact fixture images
-        assert (
-            codecs.encode_binary(EXAMPLE_DEVICE, DEVICE).hex()
-            == "0013000000000000000100000000000000"
-        )
-        assert codecs.encode_binary(Device(True, 0, 0), DEVICE).hex() == "01" + "00" * 16
-        assert (
-            codecs.encode_binary(Benchmark(10, "a", 20, "b"), BENCHMARK).hex()
-            == "0a00000000000000010000006114000000000000000100000062"
-        )
+        # byte-exact fixture images, both ways
+        for record, schema, image in (
+            (EXAMPLE_DEVICE, DEVICE, "0013000000000000000100000000000000"),
+            (Device(True, 0, 0), DEVICE, "01" + "00" * 16),
+            (Benchmark(10, "a", 20, "b"), BENCHMARK, "0a00000000000000010000006114000000000000000100000062"),
+        ):
+            assert codecs.encode_binary(record, schema).hex() == image
+            assert codecs.decode_binary(bytes.fromhex(image), schema) == record
 
 
 # prepend, drop, arithmetic, boolean-flavored: the fixed documented pool
@@ -282,12 +281,16 @@ def test_criterion_6_identity_and_projection_laws():
 
 
 def test_criterion_7_cli_goldens():
-    with criterion(7, "CLI golden outputs byte-exact; encode-bin | decode-bin identity"):
+    with criterion(7, "CLI goldens byte-exact from text or byte stdin, LF or CRLF; encode-bin | decode-bin identity"):
         for golden, argv, fixture in GOLDEN_CASES:
-            stdin_text = (FIXTURES / fixture).read_text() if fixture else ""
-            code, out, _ = run_main(argv, stdin_text)
-            assert code == 0, (argv, out)
-            assert out.encode() == (GOLDENS / golden).read_bytes(), argv
+            expected = (0, (GOLDENS / golden).read_bytes(), "")
+            text = (FIXTURES / fixture).read_text() if fixture else ""
+            # One '\r' before each '\n' is part of the line end.  main reads a
+            # text stdin (a StringIO) or decodes the bytes under a text layer.
+            for stdin_text in {text, text.replace("\n", "\r\n")}:
+                for reader in (io.StringIO, utf8_stdin):
+                    code, out, err = run_main(argv, reader(stdin_text))
+                    assert (code, out.encode(), err) == expected, (argv, reader, stdin_text)
         for fixture, type_name in (
             ("device.json", "device"),
             ("benchmark.json", "benchmark"),

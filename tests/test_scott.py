@@ -5,7 +5,6 @@ from functools import partial, reduce
 import pytest
 
 from recplug import plug
-from recplug.codecs import show_line
 from recplug.errors import ArityError, ContinuationShapeError, UnknownTypeError
 from recplug.pipelines import (
     depure_map,
@@ -16,7 +15,6 @@ from recplug.pipelines import (
     run_map,
     run_show,
     run_zip,
-    show_record,
     showa,
     zipa,
 )
@@ -49,7 +47,6 @@ from recplug.scott import (
     run_zip3_cps,
     run_zip_cps,
     showa_cps,
-    zip_device_demo_cps,
     zipa3_cps,
     zipa_cps,
 )
@@ -137,17 +134,6 @@ def test_showa_cps_single_field():
     assert p(None)(lambda stack: stack) == ("42", ())
 
 
-def test_show_device_cps_matches_pair_track():
-    assert show_line(EXAMPLE_DEVICE, schema_for("device"), "scott") == "False 19 1"
-    assert show_line(EXAMPLE_DEVICE, schema_for("device"), "scott") == run_show(
-        show_record("device")(EXAMPLE_DEVICE)
-    )
-
-
-def test_map_device_cps():
-    assert run_map_cps(map_device_demo_cps()(EXAMPLE_DEVICE)) == MAPPED_DEVICE
-
-
 def test_mapa_cps_identity_law():
     rng = random.Random(11)
     for _ in range(25):
@@ -170,12 +156,6 @@ def test_depure_cps_unknown_type():
         depure_map_cps("gadget", destructure_device_cps)
     with pytest.raises(UnknownTypeError):
         depure_zip_cps("gadget", destructure_device_cps, destructure_device_cps)
-
-
-def test_zip_device_cps():
-    assert run_zip_cps(
-        zip_device_demo_cps()(EXAMPLE_DEVICE, MAPPED_DEVICE)
-    ) == Device(False, 138, 202)
 
 
 def test_zipa_cps_projection_law():
