@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import codecs, pipelines, records, scott
-from .errors import Error, TrailingInputError
+from .errors import Error
 from .records import EXAMPLE_DEVICE, RecordSchema, schema_for
 
 #: The most bytes a line in or out may hold before its "\n" (characters, on a text-only stdin).
@@ -36,12 +36,8 @@ def _check_output(size: int) -> None:  # size: an output line's UTF-8 bytes, or 
         raise Error(f"output line longer than {MAX_LINE} bytes")
 
 
-def _lexeme_record(line: str, schema: RecordSchema):
-    n = schema.arity  # split no further than the record: one last piece holds any excess
-    try:
-        return codecs.parse_record(line.split(" ", n), schema)
-    except TrailingInputError:  # count the excess lexemes without splitting them
-        raise TrailingInputError(f"{line.count(' ') + 1 - n} unconsumed lexeme(s) at position {n}") from None
+def _lexeme_record(line: str, schema: RecordSchema):  # the last piece holds any excess, unsplit
+    return codecs.parse_record(line.split(" ", schema.arity), schema)
 
 
 def _hex_record(line: str, schema: RecordSchema):

@@ -190,15 +190,15 @@ _LEXEME_PARSE = partial(_parse, table=_LEXEME_PRIMITIVES, form="lexeme")
 
 
 def parse_record(stream: Sequence[str], schema: RecordSchema):
-    """Strict applicative parse: the whole stream must be consumed.  A
-    record with no fields shows as the empty line, one empty lexeme."""
+    """Strict applicative parse: the whole stream must be consumed, and an
+    unconsumed tail counts as its space-separated pieces.  A record with no
+    fields shows as the empty line, one empty lexeme."""
     if not schema.fields and tuple(stream) == ("",):
         stream = ()
     built, _, cursor = _staged(schema, _LEXEME_PARSE)(stream, 0)
     if cursor != len(stream):
-        raise TrailingInputError(
-            f"{len(stream) - cursor} unconsumed lexeme(s) at position {cursor}"
-        )
+        excess = sum(lex.count(" ") + 1 for lex in stream[cursor:])
+        raise TrailingInputError(f"{excess} unconsumed lexeme(s) at position {cursor}")
     return finish(built)
 
 

@@ -74,13 +74,20 @@ def utf8_stdin(text):
 
 def run_main(argv, stdin=""):
     """``main(argv)`` in this process: its exit code, stdout and stderr.
-    ``stdin`` is text, read through a StringIO, or a file object."""
+    ``stdin`` is text, read through a StringIO, a file object, or None for
+    a closed stdin."""
     if isinstance(stdin, str):
         stdin = io.StringIO(stdin)
     out, err = io.StringIO(), io.StringIO()
     with patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def rebuild(record, schema):
+    """The record rebuilt by folding apply_field over its destructured
+    fields, then finish."""
+    return finish(reduce(apply_field, list_fields(schema.destruct(record)), Builder(schema)))
 
 
 def field_list(*values):
@@ -519,10 +526,9 @@ def ref_parse_record(stream, schema):
     if not schema.fields and list(stream) == [""]:  # the empty line of no fields
         stream = []
     built, cursor = _ref_chain(table, schema, "lexeme")(stream, 0)
-    if cursor != len(stream):
-        raise TrailingInputError(
-            f"{len(stream) - cursor} unconsumed lexeme(s) at position {cursor}"
-        )
+    if cursor != len(stream):  # the tail's lexemes, however the stream was split
+        tail = " ".join(stream[cursor:]).split(" ")
+        raise TrailingInputError(f"{len(tail)} unconsumed lexeme(s) at position {cursor}")
     return finish(built)
 
 

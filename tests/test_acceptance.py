@@ -17,6 +17,8 @@ from recplug.chop import chop2, chop2_left, nest2, unnest2
 from recplug.errors import ArityError, ExhaustedError, OpenPortsError
 from recplug.records import (
     EXAMPLE_DEVICE,
+    I64_MAX,
+    I64_MIN,
     Benchmark,
     Device,
     destructure_benchmark,
@@ -118,6 +120,16 @@ def test_criterion_2_track_equivalence():
 def test_criterion_3_round_trips():
     with criterion(3, "lexeme, binary, and named round trips on 1000+ records each"):
         rng = random.Random(1003)
+        # fixed edges the seeded draws miss: the i64 extremes and empty strings
+        for record, schema in (
+            (Device(True, I64_MIN, I64_MAX), DEVICE),
+            (Device(False, I64_MAX, I64_MIN), DEVICE),
+            (Benchmark(I64_MIN, "", I64_MAX, ""), BENCHMARK),
+        ):
+            line = pipelines.run_show(pipelines.show_record(schema.type_id)(record))
+            assert codecs.parse_record(codecs.lexemes(line), schema) == record
+            assert codecs.decode_binary(codecs.encode_binary(record, schema), schema) == record
+            assert codecs.from_named(codecs.to_named(record, schema), schema) == record
         for _ in range(1000):
             d = random_device(rng)
             line = pipelines.run_show(pipelines.show_record("device")(d))

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recplug import cli, pipelines, register
-from recplug.cli import MAX_LINE, main
-from recplug.codecs import CONTROL, encode_binary, from_named, show_line, to_named
+from recplug.cli import MAX_LINE
+from recplug.codecs import CONTROL, encode_binary, show_line, to_named
 from recplug.errors import CodecError
 from recplug.records import AVGS_SCHEMA, BENCHMARK_SCHEMA, I64_MAX, I64_MIN, REGISTRY, Benchmark, Kind
 
@@ -413,26 +413,6 @@ control_rich = st.one_of(st.characters(max_codepoint=0x1F), st.characters(codec=
 utf8_text = st.text(control_rich, max_size=16)
 
 
-#: Every registered type whose fields all have a binary form.
-BINARY_TYPES = sorted(t for t, s in REGISTRY.items() if Kind.REAL not in {f.kind for f in s.fields})
-BINARY_VALUES = {Kind.BOOL: st.booleans(), Kind.INT: st.integers(I64_MIN, I64_MAX), Kind.STR: utf8_text}
-
-
-@given(data=st.data())
-def test_decode_bin_then_from_json_keeps_one_line(data):
-    """A string field holding control characters leaves decode-bin as one
-    line, and from-json reads that line back to the same record, for every
-    registered type with a binary form."""
-    schema = REGISTRY[data.draw(st.sampled_from(BINARY_TYPES), label="type")]
-    record = schema.ctor(*(data.draw(BINARY_VALUES[f.kind]) for f in schema.fields))
-    image = encode_binary(record, schema).hex()
-    code, line, err = run_main(["decode-bin", "--type", schema.type_id], image + "\n")
-    assert (code, err, line.count("\n")) == (0, "", 1)
-    code, out, err = run_main(["from-json", "--type", schema.type_id], line)
-    assert (code, out, err) == (0, line, "")
-    assert from_named(out.rstrip("\n"), schema) == record
-
-
 def test_lone_surrogate_has_no_binary_image():
     """A string with no UTF-8 image is a typed error, in process and at the
     CLI (from-json admits a raw lone surrogate; the binary form cannot)."""
@@ -476,25 +456,21 @@ def test_an_undecodable_line_is_numbered_after_the_lines_before_it():
     assert proc.stderr == b"error: line 1001: stdin is not UTF-8: invalid start byte\n"
 
 
-def test_an_undecodable_line_is_numbered_in_process_too(monkeypatch, capsys):
+def test_an_undecodable_line_is_numbered_in_process_too():
     """main reads the bytes under a strict UTF-8 text stdin a line at a time,
     so an in-process run prints and numbers what the console script does."""
     line = (FIXTURES / "device.json").read_bytes()
     stdin = io.TextIOWrapper(io.BytesIO(line * 1000 + b"\xff\n" + line), encoding="utf-8")
-    monkeypatch.setattr("sys.stdin", stdin)
-    assert main(["to-json", "--type", "device"]) == 1
-    out, err = capsys.readouterr()
+    code, out, err = run_main(["to-json", "--type", "device"], stdin)
+    assert code == 1
     assert out.encode() == (GOLDENS / "to_json_device.golden").read_bytes() * 1000
     assert err == "error: line 1001: stdin is not UTF-8: invalid start byte\n"
 
 
-def test_a_closed_stdin_reads_as_empty_in_process(monkeypatch, capsys):
+def test_a_closed_stdin_reads_as_empty_in_process():
     """With no stdin at all (descriptor 0 closed), main reads zero lines."""
-    monkeypatch.setattr("sys.stdin", None)
-    assert main(["to-json", "--type", "device"]) == 0
-    assert capsys.readouterr() == ("", "")
-    assert main(["avg"]) == 1
-    assert capsys.readouterr() == ("", "error: average: need at least one benchmark\n")
+    assert run_main(["to-json", "--type", "device"], None) == (0, "", "")
+    assert run_main(["avg"], None) == (1, "", "error: average: need at least one benchmark\n")
 
 
 @pytest.mark.parametrize("demo", ["map-demo", "zip-demo"])

@@ -2,7 +2,6 @@
 pipeline family, the plug instances, the three codecs and the CLI's
 ``--type`` choices all follow from that one declaration."""
 
-import io
 import json
 import operator
 import re
@@ -14,7 +13,7 @@ from typing import ClassVar, NamedTuple
 
 import pytest
 
-from recplug import cli, plug, register
+from recplug import plug, register
 from recplug.codecs import (
     decode_binary,
     encode_binary,
@@ -164,12 +163,6 @@ def test_codecs_round_trip(sensor):
 
     shown = run_show(show_record("sensor")(r))
     assert parse_record(lexemes(shown), sensor) == r
-
-
-def test_cli_accepts_the_new_type(sensor, monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"tag":"x","reading":7,"online":true}\n'))
-    assert cli.main(["to-json", "--type", "sensor"]) == 0
-    assert capsys.readouterr() == ('{"online":true,"reading":7,"tag":"x"}\n', "")
 
 
 def test_one_and_zero_field_types():
