@@ -205,7 +205,9 @@ def schema_for(type_id: str) -> RecordSchema:
     try:
         return REGISTRY[type_id]
     except KeyError:
-        raise UnknownTypeError(f"unregistered record type: {type_id!r}") from None
+        echo = repr(type_id)  # cut past 40 characters: a str id as text, any other id as its repr
+        echo = echo if len(echo) <= 40 else _excerpt(type_id if type(type_id) is str else echo)
+        raise UnknownTypeError(f"unregistered record type: {echo}") from None
 
 
 _I64_DIGITS = len(str(I64_MIN))  # a longer canonical literal is out of range

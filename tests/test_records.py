@@ -7,7 +7,10 @@ from recplug.errors import (
     Error,
     FieldTypeError,
     IntOverflowError,
+    PieceKindError,
+    UnknownTypeError,
 )
+from recplug.plug import mapper, plug
 from recplug.records import (
     BENCHMARK_SCHEMA,
     DEVICE_SCHEMA,
@@ -99,6 +102,26 @@ def test_a_long_str_in_a_bool_field_gives_a_short_error():
         f"field 'block' of device expects bool, got str ({'x' * 40!r}… (100000 characters))"
     )
     assert len(str(info.value)) < 200
+
+
+def test_a_long_piece_or_type_id_gives_a_short_error():
+    """A non-callable piece and an unknown type id are echoed whole while
+    their repr has at most 40 characters, and past that cut, so a long
+    argument gives a short message."""
+    device = mapper("device", destructure_device)
+    with pytest.raises(PieceKindError, match=r"^mapper expects a unary field function, got 5$"):
+        plug(device, 5)
+    for type_id, echo in (("nope", "'nope'"), (5, "5")):
+        with pytest.raises(UnknownTypeError, match=f"^unregistered record type: {echo}$"):
+            schema_for(type_id)
+    for call in (
+        lambda: plug(device, "x" * 1_000_000),
+        lambda: plug(device, list(range(100_000))),
+        lambda: schema_for("y" * 1_000_000),
+    ):
+        with pytest.raises((PieceKindError, UnknownTypeError)) as info:
+            call()
+        assert len(str(info.value)) < 200
 
 
 def test_a_subclass_value_is_stored_as_its_plain_copy():
