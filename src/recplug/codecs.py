@@ -64,6 +64,7 @@ from .records import (
     Builder,
     Kind,
     RecordSchema,
+    _echo,
     _excerpt,
     _out_of_range,
     apply_field,
@@ -85,7 +86,7 @@ def _primitive(table: dict, field, form: str):
     """``table``'s primitive for ``field``; the one place a wire form's kind
     support is decided."""
     if field.kind not in table:
-        raise CodecError(f"{field.kind.value} field {field.name!r} has no {form} form")
+        raise CodecError(f"{field.kind.value} field {_echo(field.name)} has no {form} form")
     return table[field.kind]
 
 
@@ -211,11 +212,11 @@ def _shown(schema: RecordSchema, i: int):
     def render(v):
         v = check_field(schema, i, v, WrongValueKindError)
         if t is str and " " in v:
-            raise CodecError(f"field {name!r} contains a space, not showable")
+            raise CodecError(f"field {_echo(name)} contains a space, not showable")
         if t is str and CONTROL.search(v):
-            raise CodecError(f"field {name!r} contains a control character, not showable")
+            raise CodecError(f"field {_echo(name)} contains a control character, not showable")
         if t is float and not math.isfinite(v):
-            raise CodecError(f"field {name!r} is not a finite real, not showable")
+            raise CodecError(f"field {_echo(name)} is not a finite real, not showable")
         return str(v)  # render_value's lexeme: v is a plain bool, int, str or float
 
     return render
@@ -406,6 +407,6 @@ def from_named(text: str, schema: RecordSchema):
     values = []  # no Builder: the arity is checked already
     for i, f in enumerate(schema.fields):
         if f.name not in pairs:
-            raise MissingKeyError(f"missing key {f.name!r}")
+            raise MissingKeyError(f"missing key {_echo(f.name)}")
         values.append(check_field(schema, i, pairs[f.name], WrongValueKindError))
     return schema.ctor(*values)

@@ -19,7 +19,7 @@ from .errors import ExhaustedError, OpenPortsError, PieceKindError
 from .pipelines import (
     depure_map, depure_show, depure_zip, mapa, run_map, run_show, run_zip, showa, zipa
 )
-from .records import _excerpt, schema_for
+from .records import _echo, schema_for
 from .scott import depure_map_cps, mapa_cps, run_map_cps
 
 
@@ -56,15 +56,11 @@ def plug(instance: PlugInstance, piece) -> PlugInstance:
     if remaining <= 0:
         raise ExhaustedError(f"{family.name}: no ports left to plug")
     if not callable(piece):
-        echo = repr(piece)  # cut past 40 characters: a str piece as text, any other as its repr
-        echo = echo if len(echo) <= 40 else _excerpt(piece if type(piece) is str else echo)
-        raise PieceKindError(f"{family.name} expects a {family.piece_kind}, got {echo}")
+        raise PieceKindError(f"{family.name} expects a {family.piece_kind}, got {_echo(piece)}")
     return PlugInstance(family, family.plug_op(instance.pipeline, piece), remaining - 1)
 
 
 def run_instance(instance: PlugInstance, *records) -> object:
     if instance.steps_remaining:
-        raise OpenPortsError(
-            f"{instance.family.name}: {instance.steps_remaining} port(s) still open"
-        )
+        raise OpenPortsError(f"{instance.family.name}: {instance.steps_remaining} port(s) still open")
     return instance.family.run_op(instance.pipeline(*records))

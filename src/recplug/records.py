@@ -109,15 +109,16 @@ class RecordSchema(namedtuple("RecordSchema", "type_id ctor destruct fields")):
 
     def __init__(self, *value):
         if any("\ud800" <= c <= "\udfff" for c in self.type_id):  # a lone surrogate
-            raise ValueError(f"type id {self.type_id!r} has no UTF-8 image")
+            raise ValueError(f"type id {_echo(self.type_id)} has no UTF-8 image")
         seen = set()
         for f in self.fields:
             if not isinstance(f.kind, Kind):
-                raise ValueError(f"field {f.name!r} of {self.type_id}: {f.kind!r} is not a Kind")
+                raise ValueError(f"field {_echo(f.name)} of {self.type_id}:"
+                                 f" {_echo(f.kind)} is not a Kind")
             if f.name in seen:  # its JSON object would repeat a key
-                raise ValueError(f"field name {f.name!r} of {self.type_id} is repeated")
+                raise ValueError(f"field name {_echo(f.name)} of {self.type_id} is repeated")
             if any("\ud800" <= c <= "\udfff" for c in f.name):  # a lone surrogate
-                raise ValueError(f"field name {f.name!r} of {self.type_id} has no UTF-8 image")
+                raise ValueError(f"field name {_echo(f.name)} of {self.type_id} has no UTF-8 image")
             seen.add(f.name)
         #: The codecs staged from this schema by ``codecs``; not part of its value.
         self.codec_plan = {}
@@ -163,7 +164,7 @@ def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
     nothing.
     """
     if type_id in REGISTRY:
-        raise ValueError(f"record type {type_id!r} is already registered")
+        raise ValueError(f"record type {_echo(type_id)} is already registered")
     names = getattr(cls, "__match_args__", None)
     if names is None:
         raise TypeError(f"{cls!r} has no __match_args__: make it a dataclass or a NamedTuple")
@@ -204,10 +205,8 @@ destructure_benchmark = BENCHMARK_SCHEMA.destruct
 def schema_for(type_id: str) -> RecordSchema:
     try:
         return REGISTRY[type_id]
-    except KeyError:
-        echo = repr(type_id)  # cut past 40 characters: a str id as text, any other id as its repr
-        echo = echo if len(echo) <= 40 else _excerpt(type_id if type(type_id) is str else echo)
-        raise UnknownTypeError(f"unregistered record type: {echo}") from None
+    except (KeyError, TypeError):  # an unhashable id is no registered one either
+        raise UnknownTypeError(f"unregistered record type: {_echo(type_id)}") from None
 
 
 _I64_DIGITS = len(str(I64_MIN))  # a longer canonical literal is out of range
@@ -221,6 +220,13 @@ def _excerpt(text: str) -> str:
     while len((shown := repr(text[:n])).encode()) > 42:
         n -= 1
     return shown if n == len(text) else f"{shown}… ({len(text)} characters)"
+
+
+def _echo(value) -> str:
+    """A diagnostic's echo of a piece, type id, field name, kind or state: its
+    repr up to 40 characters, past that the ``_excerpt`` of a str or a repr."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else _excerpt(value if type(value) is str else shown)
 
 
 def _int_excerpt(v) -> str:
@@ -249,7 +255,7 @@ def check_field(schema: RecordSchema, i: int, v: Value, error: type) -> Value:
     want = schema.fields[i]
     if got is not want.kind:
         echo = _excerpt(v) if got is Kind.STR else _int_excerpt(v) if got is Kind.INT else repr(v)
-        raise error(f"field {want.name!r} of {schema.type_id} expects"
+        raise error(f"field {_echo(want.name)} of {schema.type_id} expects"
                     f" {want.kind.value}, got {got.value} ({echo})")
     if got is Kind.INT and not I64_MIN <= v <= I64_MAX:
         raise IntOverflowError(_out_of_range(v))
@@ -313,9 +319,6 @@ def apply_field(b: Builder, v: Value) -> Builder:
 def finish(b: Builder) -> object:
     missing = b.schema.arity - b._count
     if missing:
-        raise ArityError(
-            "finish",
-            missing,
-            f"finish: {b.schema.type_id} builder still needs {missing} field(s)",
-        )
+        raise ArityError("finish", missing,
+                         f"finish: {b.schema.type_id} builder still needs {missing} field(s)")
     return b.schema.ctor(*reversed(list_fields(b._cells)))

@@ -24,7 +24,7 @@ from functools import reduce
 from .chop import Pipeline, hom_wrap
 from .errors import ContinuationShapeError
 from .pipelines import DEVICE_MAPS, DEVICE_ZIPS
-from .records import Builder, apply_field, finish, list_fields, schema_for
+from .records import Builder, _echo, apply_field, finish, list_fields, schema_for
 
 
 def cps_destructor(type_id):
@@ -96,12 +96,8 @@ def _fuse(op, f):
 
     def step(sab, *others):
         if not callable(sab):
-            raise ContinuationShapeError(
-                2,
-                1,
-                f"{op}: state is not left-nested (inner state is {sab!r},"
-                " not a function)",
-            )
+            raise ContinuationShapeError(2, 1, f"{op}: state is not left-nested"
+                                         f" (inner state is {_echo(sab)}, not a function)")
         return CpsChain(sab, (op, lambda s, a: f(s, a, *others)))
 
     return step

@@ -81,7 +81,9 @@ MUTANTS = (
      (BUILDER,)),
     ("records.py", "schema, done = b.schema, b._count", "schema, done = b.schema, len(b.supplied)",
      ("tests/test_cost.py::test_a_record_layer_costs_affine_calls_in_its_arity",)),
-    ("records.py", "unregistered record type: {echo}", "unregistered record type: {type_id!r}",
+    ("records.py", "unregistered record type: {_echo(type_id)}",
+     "unregistered record type: {type_id!r}", (SHORT_ECHO,)),
+    ("records.py", "return shown if len(shown) <= 40 else", "return shown if len(shown) >= 0 else",
      (SHORT_ECHO,)),
     # pipelines.py
     ("pipelines.py", "apply_field(s, f(a, c))", "apply_field(s, f(c, a))", (C6,)),
@@ -111,7 +113,7 @@ MUTANTS = (
     ("plug.py", "showa, run_show)", "lambda p, r: showa(p, lambda a: r(a).lower()), run_show)", (C5,)),
     ("plug.py", "depure_zip, zipa, run_zip)", "depure_zip, lambda p, f: zipa(p, lambda a, c: f(a, a)), run_zip)",
      (C5,)),
-    ("plug.py", "got {echo}", "got {piece!r}", (SHORT_ECHO,)),
+    ("plug.py", "got {_echo(piece)}", "got {piece!r}", (SHORT_ECHO,)),
     # cli.py
     ("cli.py", "return codecs.to_named(record, schema)", 'return codecs.to_named(record, schema).replace(",", ", ")',
      (TYPED,)),

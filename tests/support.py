@@ -306,7 +306,7 @@ def _ref_check_nested(inner, op):
         raise ContinuationShapeError(
             2,
             1,
-            f"{op}: state is not left-nested (inner state is {inner!r},"
+            f"{op}: state is not left-nested (inner state is {ref_quote(inner)},"
             " not a function)",
         )
 
@@ -498,7 +498,7 @@ def ref_scan_named(text: str) -> dict:
 def _ref_per_field(table, schema, form):
     for f in schema.fields:
         if f.kind not in table:
-            raise CodecError(f"{f.kind.value} field {f.name!r} has no {form} form")
+            raise CodecError(f"{f.kind.value} field {ref_quote(f.name)} has no {form} form")
     return [table[f.kind] for f in schema.fields]
 
 
@@ -567,7 +567,7 @@ def ref_check_field(schema, i, v, error):
     v = _REF_PLAIN[got](v)
     if got is not want.kind:
         raise error(
-            f"field {want.name!r} of {schema.type_id} expects"
+            f"field {ref_quote(want.name)} of {schema.type_id} expects"
             f" {want.kind.value}, got {got.value} ({ref_echo(v, got)})"
         )
     if got is Kind.INT and not I64_MIN <= v <= I64_MAX:
@@ -618,13 +618,13 @@ def _ref_lexeme(schema, i, v) -> str:
         return int.__repr__(v)
     if isinstance(v, float):
         if not math.isfinite(v):
-            raise CodecError(f"field {spec.name!r} is not a finite real, not showable")
+            raise CodecError(f"field {ref_quote(spec.name)} is not a finite real, not showable")
         return float.__repr__(v)
     v = str.__str__(v)
     if " " in v:
-        raise CodecError(f"field {spec.name!r} contains a space, not showable")
+        raise CodecError(f"field {ref_quote(spec.name)} contains a space, not showable")
     if re.search(r"[\x00-\x1f]", v):
-        raise CodecError(f"field {spec.name!r} contains a control character, not showable")
+        raise CodecError(f"field {ref_quote(spec.name)} contains a control character, not showable")
     return v
 
 
@@ -643,6 +643,16 @@ def ref_excerpt(text):
     return repr(text) if head == text else repr(head) + f"… ({len(text)} characters)"
 
 
+def ref_quote(value):
+    """A diagnostic's echo of a declared name, id, kind or state: its repr
+    if that has at most 40 characters, else ref_excerpt of the value when
+    it is a plain str, or of its repr's text when it is anything else."""
+    text = repr(value)
+    if len(text) > 40:
+        text = ref_excerpt(value if type(value) is str else text)
+    return text
+
+
 def ref_from_named(text, schema):
     pairs = ref_scan_named(text)
     extra = set(pairs) - {f.name for f in schema.fields}
@@ -655,6 +665,6 @@ def ref_from_named(text, schema):
     b = Builder(schema)
     for i, f in enumerate(schema.fields):
         if f.name not in pairs:
-            raise MissingKeyError(f"missing key {f.name!r}")
+            raise MissingKeyError(f"missing key {ref_quote(f.name)}")
         b = apply_field(b, ref_check_field(schema, i, pairs[f.name], WrongValueKindError))
     return finish(b)

@@ -2,11 +2,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from recplug.codecs import from_named, show_line
 from recplug.errors import (
     ArityError,
+    CodecError,
+    ContinuationShapeError,
     Error,
     FieldTypeError,
     IntOverflowError,
+    MissingKeyError,
     PieceKindError,
     UnknownTypeError,
 )
@@ -30,8 +34,10 @@ from recplug.records import (
     finish,
     kind_of,
     list_fields,
+    register,
     schema_for,
 )
+from recplug.scott import chop2_cps
 
 from support import XInt, XStr, builder_values, rebuild, ref_apply_field, ref_finish
 
@@ -105,23 +111,36 @@ def test_a_long_str_in_a_bool_field_gives_a_short_error():
 
 
 def test_a_long_piece_or_type_id_gives_a_short_error():
-    """A non-callable piece and an unknown type id are echoed whole while
-    their repr has at most 40 characters, and past that cut, so a long
-    argument gives a short message."""
+    """A value the caller names (a piece, type id, field name, kind or CPS
+    state) is echoed whole while its repr has at most 40 characters, and
+    past that cut, so a long value gives a short message of its own class;
+    an unhashable type id is an unknown one."""
     device = mapper("device", destructure_device)
     with pytest.raises(PieceKindError, match=r"^mapper expects a unary field function, got 5$"):
         plug(device, 5)
     for type_id, echo in (("nope", "'nope'"), (5, "5")):
         with pytest.raises(UnknownTypeError, match=f"^unregistered record type: {echo}$"):
             schema_for(type_id)
-    for call in (
-        lambda: plug(device, "x" * 1_000_000),
-        lambda: plug(device, list(range(100_000))),
-        lambda: schema_for("y" * 1_000_000),
+    kinds, names = (Kind.BOOL, Kind.INT, Kind.INT), ("n" * 1000, "b", "c", "d")
+    long_name = RecordSchema("long_name", Benchmark, destructure_benchmark,
+                             tuple(FieldSpec(n, Kind.STR) for n in names))
+    for error, call in (
+        (PieceKindError, lambda: plug(device, "x" * 1_000_000)),
+        (PieceKindError, lambda: plug(device, list(range(100_000)))),
+        (UnknownTypeError, lambda: schema_for("y" * 1_000_000)),
+        (ValueError, lambda: register("x" * 10**6 + "\ud800", Device, kinds)),
+        (ValueError, lambda: register("twice", Device, kinds, ("a" * 10**6,) * 2 + ("c",))),
+        (ValueError, lambda: register("kindless", Device, ("k" * 10**6,) + kinds[1:])),
+        (MissingKeyError, lambda: from_named("{}", long_name)),
+        (CodecError, lambda: show_line(Benchmark("x y", "b", "c", "d"), long_name, "pair")),
+        (ContinuationShapeError,
+         lambda: chop2_cps(lambda k: k(tuple(range(1000)), 1), max)(lambda *args: args)),
+        (UnknownTypeError, lambda: schema_for([1])),
+        (UnknownTypeError, lambda: mapper([1], destructure_device)),
     ):
-        with pytest.raises((PieceKindError, UnknownTypeError)) as info:
+        with pytest.raises(error) as info:
             call()
-        assert len(str(info.value)) < 200
+        assert type(info.value) is error and len(str(info.value)) < 200
 
 
 def test_a_subclass_value_is_stored_as_its_plain_copy():
