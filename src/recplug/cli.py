@@ -42,7 +42,7 @@ def _lexeme_record(line: str, schema: RecordSchema):  # the last piece holds any
 
 def _hex_record(line: str, schema: RecordSchema):
     if len(line) % 2 or line.strip("0123456789abcdef"):
-        raise Error(f"not a hex image: {records._excerpt(line)}")
+        raise Error(f"not a hex image: {records._echo(line)}")
     return codecs.decode_binary(bytes.fromhex(line), schema)
 
 

@@ -65,7 +65,6 @@ from .records import (
     Kind,
     RecordSchema,
     _echo,
-    _excerpt,
     _out_of_range,
     apply_field,
     check_field,
@@ -155,13 +154,13 @@ def p_bool(src, pos):
         return False, pos + 1
     if lex == "True":
         return True, pos + 1
-    raise ParseError(f"expected 'False' or 'True', got {_excerpt(lex)}", pos)
+    raise ParseError(f"expected 'False' or 'True', got {_echo(lex)}", pos)
 
 
 def p_int(src, pos):
     lex = _lexeme_at(src, pos, "an integer")
     if not _INT_RE.fullmatch(lex) or lex == "-0":
-        raise ParseError(f"not a canonical integer: {_excerpt(lex)}", pos)
+        raise ParseError(f"not a canonical integer: {_echo(lex)}", pos)
     if len(lex) > _I64_DIGITS or not I64_MIN <= (v := int(lex)) <= I64_MAX:
         raise ParseError(_out_of_range(lex), pos)
     return v, pos + 1
@@ -170,7 +169,7 @@ def p_int(src, pos):
 def p_str(src, pos):
     lex = _lexeme_at(src, pos, "a string")
     if CONTROL.search(lex):
-        raise ParseError(f"control character in string: {_excerpt(lex)}", pos)
+        raise ParseError(f"control character in string: {_echo(lex)}", pos)
     return lex, pos + 1
 
 
@@ -182,7 +181,7 @@ def p_real(src, pos):
         v = math.nan
     # Exactly what render_value prints for a finite float.
     if not math.isfinite(v) or repr(v) != lex:
-        raise ParseError(f"not a canonical finite real: {_excerpt(lex)}", pos)
+        raise ParseError(f"not a canonical finite real: {_echo(lex)}", pos)
     return v, pos + 1
 
 
@@ -381,14 +380,14 @@ def _named_pairs(text: str) -> dict:
         t = type(v)
         spell = _SPELLINGS.get(t)
         if spell is None:  # null, an array or an object
-            raise MalformedJsonError(f"key {_excerpt(k)} holds no bool, int, str or real")
+            raise MalformedJsonError(f"key {_echo(k)} holds no bool, int, str or real")
         if t is int and not I64_MIN <= v <= I64_MAX:
             raise MalformedJsonError(_out_of_range(str(v)))
         spelled.append(encode_basestring(k) + ":" + spell(v))
         if t is _RealLiteral and not math.isfinite(v := float(v)):
-            raise MalformedJsonError(f"real at key {_excerpt(k)} overflows")
+            raise MalformedJsonError(f"real at key {_echo(k)} overflows")
         if k in named:
-            raise MalformedJsonError(f"duplicate key {_excerpt(k)}")
+            raise MalformedJsonError(f"duplicate key {_echo(k)}")
         named[k] = v
     canonical = "{" + ",".join(spelled) + "}"
     if canonical != text:
@@ -403,7 +402,7 @@ def from_named(text: str, schema: RecordSchema):
     extra = sorted(pairs.keys() - schema.wire_names)
     if extra:  # the first three, then how many there are
         more = f", … ({len(extra)} keys)" if len(extra) > 3 else ""
-        raise ExtraKeyError(f"unexpected key(s): {', '.join(map(_excerpt, extra[:3]))}{more}")
+        raise ExtraKeyError(f"unexpected key(s): {', '.join(map(_echo, extra[:3]))}{more}")
     values = []  # no Builder: the arity is checked already
     for i, f in enumerate(schema.fields):
         if f.name not in pairs:

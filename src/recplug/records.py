@@ -44,7 +44,7 @@ def kind_of(v: Value) -> Kind:
     for kind, t in TYPE_OF.items():  # bool before int: bool is an int subclass
         if isinstance(v, t):
             return kind
-    raise FieldTypeError(f"not a field value: type {_excerpt(type(v).__name__)}")
+    raise FieldTypeError(f"not a field value: type {_echo(type(v).__name__)}")
 
 
 #: The base slot of each exact type: it copies a subclass value to a plain one
@@ -110,6 +110,8 @@ class RecordSchema(namedtuple("RecordSchema", "type_id ctor destruct fields")):
     def __init__(self, *value):
         if any("\ud800" <= c <= "\udfff" for c in self.type_id):  # a lone surrogate
             raise ValueError(f"type id {_echo(self.type_id)} has no UTF-8 image")
+        if len(self.type_id) > 40:  # every message that names it unquoted stays short
+            raise ValueError(f"type id {_echo(self.type_id)} is longer than 40 characters")
         seen = set()
         for f in self.fields:
             if not isinstance(f.kind, Kind):
@@ -167,7 +169,7 @@ def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
         raise ValueError(f"record type {_echo(type_id)} is already registered")
     names = getattr(cls, "__match_args__", None)
     if names is None:
-        raise TypeError(f"{cls!r} has no __match_args__: make it a dataclass or a NamedTuple")
+        raise TypeError(f"{_echo(cls)} has no __match_args__: make it a dataclass or a NamedTuple")
     dc_fields = getattr(cls, "__dataclass_fields__", {}).values()
     kw_only = [f.name for f in dc_fields if f.init and f.kw_only is True]
     if kw_only:
@@ -212,21 +214,20 @@ def schema_for(type_id: str) -> RecordSchema:
 _I64_DIGITS = len(str(I64_MIN))  # a longer canonical literal is out of range
 
 
-def _excerpt(text: str) -> str:
-    """A diagnostic's echo of input: the repr of ``text``, or of its longest
-    prefix of at most 40 characters whose repr has at most 42 UTF-8 bytes (its
-    quotes included), then its length; so a long line gives a short message."""
-    n = min(len(text), 40)
-    while len((shown := repr(text[:n])).encode()) > 42:
-        n -= 1
-    return shown if n == len(text) else f"{shown}… ({len(text)} characters)"
-
-
 def _echo(value) -> str:
-    """A diagnostic's echo of a piece, type id, field name, kind or state: its
-    repr up to 40 characters, past that the ``_excerpt`` of a str or a repr."""
-    shown = repr(value)
-    return shown if len(shown) <= 40 else _excerpt(value if type(value) is str else shown)
+    """A diagnostic's one echo of a value, so a long one gives a short message:
+    a plain int as ``_int_excerpt`` shows it; a str as the repr of its longest
+    prefix of at most 40 characters whose repr has at most 42 UTF-8 bytes (its
+    quotes included), then its length; any other value as its repr up to 40
+    characters, and past that cut as that text is."""
+    if type(value) is int:
+        return _int_excerpt(value)
+    if type(value) is not str and len(value := repr(value)) <= 40:
+        return value
+    n = min(len(value), 40)
+    while len((shown := repr(value[:n])).encode()) > 42:
+        n -= 1
+    return shown if n == len(value) else f"{shown}… ({len(value)} characters)"
 
 
 def _int_excerpt(v) -> str:
@@ -254,9 +255,8 @@ def check_field(schema: RecordSchema, i: int, v: Value, error: type) -> Value:
     v = PLAIN_COPY[TYPE_OF[got]](v)
     want = schema.fields[i]
     if got is not want.kind:
-        echo = _excerpt(v) if got is Kind.STR else _int_excerpt(v) if got is Kind.INT else repr(v)
         raise error(f"field {_echo(want.name)} of {schema.type_id} expects"
-                    f" {want.kind.value}, got {got.value} ({echo})")
+                    f" {want.kind.value}, got {got.value} ({_echo(v)})")
     if got is Kind.INT and not I64_MIN <= v <= I64_MAX:
         raise IntOverflowError(_out_of_range(v))
     return v

@@ -83,8 +83,9 @@ MUTANTS = (
      ("tests/test_cost.py::test_a_record_layer_costs_affine_calls_in_its_arity",)),
     ("records.py", "unregistered record type: {_echo(type_id)}",
      "unregistered record type: {type_id!r}", (SHORT_ECHO,)),
-    ("records.py", "return shown if len(shown) <= 40 else", "return shown if len(shown) >= 0 else",
-     (SHORT_ECHO,)),
+    ("records.py", "len(value := repr(value)) <= 40", "len(value := repr(value)) >= 0", (SHORT_ECHO,)),
+    ("records.py", "if type(value) is int:", "if False:", (SHORT_ECHO,)),
+    ("records.py", "if len(self.type_id) > 40:", "if len(self.type_id) > 41:", (SHORT_ECHO,)),
     # pipelines.py
     ("pipelines.py", "apply_field(s, f(a, c))", "apply_field(s, f(c, a))", (C6,)),
     ("pipelines.py", "lambda x: x + 100", "lambda x: x + 101", (C1,)),

@@ -546,20 +546,6 @@ _REF_PLAIN = {
 }
 
 
-def ref_echo(v, kind) -> str:
-    """A plain value of kind ``kind`` as a diagnostic echoes it: a str as
-    ref_excerpt does, an int in full up to 20 characters, else its first 20
-    and its digit count, or past 20 digits its sign and bit length."""
-    if kind is Kind.STR:
-        return ref_excerpt(v)
-    if kind is not Kind.INT:
-        return repr(v)
-    if abs(v) >= 10**20:
-        return ("a negative" if v < 0 else "an") + f" int of {abs(v).bit_length()} bits"
-    text = repr(v)
-    return text if len(text) <= 20 else text[:20] + f"… ({len(text) - (v < 0)} digits)"
-
-
 def ref_check_field(schema, i, v, error):
     """The plain copy of v, if field i of schema admits v: a value of
     another kind raises error, and an int outside i64 IntOverflowError."""
@@ -568,10 +554,10 @@ def ref_check_field(schema, i, v, error):
     if got is not want.kind:
         raise error(
             f"field {ref_quote(want.name)} of {schema.type_id} expects"
-            f" {want.kind.value}, got {got.value} ({ref_echo(v, got)})"
+            f" {want.kind.value}, got {got.value} ({ref_quote(v)})"
         )
     if got is Kind.INT and not I64_MIN <= v <= I64_MAX:
-        raise IntOverflowError("integer out of 64-bit signed range: " + ref_echo(v, got))
+        raise IntOverflowError("integer out of 64-bit signed range: " + ref_quote(v))
     return v
 
 
@@ -644,13 +630,20 @@ def ref_excerpt(text):
 
 
 def ref_quote(value):
-    """A diagnostic's echo of a declared name, id, kind or state: its repr
-    if that has at most 40 characters, else ref_excerpt of the value when
-    it is a plain str, or of its repr's text when it is anything else."""
+    """A diagnostic's echo of any value: a plain str as ref_excerpt shows it;
+    a plain int in full up to 20 characters, else its first 20 and its digit
+    count, or past 20 digits its sign and bit length; anything else as its
+    repr if that has at most 40 characters, else as ref_excerpt of that repr."""
+    if type(value) is str:
+        return ref_excerpt(value)
+    if type(value) is int:
+        if abs(value) >= 10**20:
+            sign = "a negative" if value < 0 else "an"
+            return f"{sign} int of {abs(value).bit_length()} bits"
+        text = repr(value)
+        return text if len(text) <= 20 else text[:20] + f"… ({len(text) - (value < 0)} digits)"
     text = repr(value)
-    if len(text) > 40:
-        text = ref_excerpt(value if type(value) is str else text)
-    return text
+    return text if len(text) <= 40 else ref_excerpt(text)
 
 
 def ref_from_named(text, schema):
@@ -658,7 +651,7 @@ def ref_from_named(text, schema):
     extra = set(pairs) - {f.name for f in schema.fields}
     if extra:
         names = sorted(extra)
-        listed = ", ".join(ref_excerpt(k) for k in names[:3])
+        listed = ", ".join(ref_quote(k) for k in names[:3])
         if len(names) > 3:  # the first three, then how many there are
             listed += f", … ({len(names)} keys)"
         raise ExtraKeyError(f"unexpected key(s): {listed}")

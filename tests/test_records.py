@@ -111,10 +111,11 @@ def test_a_long_str_in_a_bool_field_gives_a_short_error():
 
 
 def test_a_long_piece_or_type_id_gives_a_short_error():
-    """A value the caller names (a piece, type id, field name, kind or CPS
-    state) is echoed whole while its repr has at most 40 characters, and
-    past that cut, so a long value gives a short message of its own class;
-    an unhashable type id is an unknown one."""
+    """A value the caller names (a piece, type id, class, field name, kind or
+    CPS state) is echoed whole while its repr has at most 40 characters, and
+    past that cut (an int past 20 digits is never made decimal), so a long
+    value gives a short message of its own class; an unhashable type id is an
+    unknown one, and a type id of more than 40 characters is refused."""
     device = mapper("device", destructure_device)
     with pytest.raises(PieceKindError, match=r"^mapper expects a unary field function, got 5$"):
         plug(device, 5)
@@ -137,6 +138,11 @@ def test_a_long_piece_or_type_id_gives_a_short_error():
          lambda: chop2_cps(lambda k: k(tuple(range(1000)), 1), max)(lambda *args: args)),
         (UnknownTypeError, lambda: schema_for([1])),
         (UnknownTypeError, lambda: mapper([1], destructure_device)),
+        (UnknownTypeError, lambda: schema_for(10**5000)),
+        (PieceKindError, lambda: plug(device, 10**5000)),
+        (TypeError, lambda: register("x", 10**5000, ())),
+        (TypeError, lambda: register("x", "c" * 10**6, ())),
+        (ValueError, lambda: register("t" * 41, Device, kinds)),
     ):
         with pytest.raises(error) as info:
             call()
