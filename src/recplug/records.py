@@ -216,12 +216,12 @@ _I64_DIGITS = len(str(I64_MIN))  # a longer canonical literal is out of range
 
 def _echo(value) -> str:
     """A diagnostic's one echo of a value, so a long one gives a short message:
-    a plain int as ``_int_excerpt`` shows it; a str as the repr of its longest
-    prefix of at most 40 characters whose repr has at most 42 UTF-8 bytes (its
-    quotes included), then its length; any other value as its repr up to 40
-    characters, and past that cut as that text is."""
-    if type(value) is int:
-        return _int_excerpt(value)
+    a plain int, or any int past 20 digits, as ``_int_excerpt`` shows its plain
+    copy; a str as the repr of its longest prefix of at most 40 characters whose
+    repr has at most 42 UTF-8 bytes (quotes included), then its length; any
+    other value as its repr up to 40 characters, past that cut as that text is."""
+    if issubclass(t := type(value), int) and (t is int or abs(int.__int__(value)) >= 10**_I64_DIGITS):
+        return _int_excerpt(int.__int__(value))
     if type(value) is not str and len(value := repr(value)) <= 40:
         return value
     n = min(len(value), 40)

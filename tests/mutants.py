@@ -47,6 +47,7 @@ TYPED = "tests/test_cli.py::test_a_typed_command_reads_one_record_per_line"
 DECLARED = "tests/test_cli.py::test_a_generated_declaration_round_trips_or_is_refused"
 BUILDER = "tests/test_records.py::test_builder_matches_tuple_reference"
 SHORT_ECHO = "tests/test_records.py::test_a_long_piece_or_type_id_gives_a_short_error"
+INT_ECHO = "tests/test_records.py::test_an_echo_shows_any_int_past_20_digits_by_its_bit_length"
 
 MUTANTS = (
     # codecs.py, lexeme track: no negative int, no I64_MIN, a tail counted by pieces
@@ -84,7 +85,11 @@ MUTANTS = (
     ("records.py", "unregistered record type: {_echo(type_id)}",
      "unregistered record type: {type_id!r}", (SHORT_ECHO,)),
     ("records.py", "len(value := repr(value)) <= 40", "len(value := repr(value)) >= 0", (SHORT_ECHO,)),
-    ("records.py", "if type(value) is int:", "if False:", (SHORT_ECHO,)),
+    ("records.py", "if issubclass(t := type(value), int) and", "if False and", (SHORT_ECHO,)),
+    ("records.py", "(t is int or abs(int.__int__(value)) >= 10**_I64_DIGITS)", "t is int",
+     (SHORT_ECHO, INT_ECHO)),
+    ("records.py", "issubclass(t := type(value), int)", "(t := type(value)) and isinstance(value, int)",
+     (SHORT_ECHO,)),
     ("records.py", "if len(self.type_id) > 40:", "if len(self.type_id) > 41:", (SHORT_ECHO,)),
     # pipelines.py
     ("pipelines.py", "apply_field(s, f(a, c))", "apply_field(s, f(c, a))", (C6,)),

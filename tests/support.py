@@ -631,15 +631,17 @@ def ref_excerpt(text):
 
 def ref_quote(value):
     """A diagnostic's echo of any value: a plain str as ref_excerpt shows it;
-    a plain int in full up to 20 characters, else its first 20 and its digit
-    count, or past 20 digits its sign and bit length; anything else as its
-    repr if that has at most 40 characters, else as ref_excerpt of that repr."""
+    an int of any class past 20 digits as the sign and bit length of its plain
+    value; a smaller plain int in full up to 20 characters, else its first 20
+    and its digit count; anything else (a smaller subclass value or a bool
+    too) as its repr if that has at most 40 characters, else as ref_excerpt
+    of that repr."""
     if type(value) is str:
         return ref_excerpt(value)
+    if int in type(value).__mro__ and abs(plain := int(value)) >= 10**20:
+        sign = "a negative" if plain < 0 else "an"
+        return f"{sign} int of {abs(plain).bit_length()} bits"
     if type(value) is int:
-        if abs(value) >= 10**20:
-            sign = "a negative" if value < 0 else "an"
-            return f"{sign} int of {abs(value).bit_length()} bits"
         text = repr(value)
         return text if len(text) <= 20 else text[:20] + f"… ({len(text) - (value < 0)} digits)"
     text = repr(value)

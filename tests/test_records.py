@@ -1,3 +1,5 @@
+from unittest.mock import Mock
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -37,9 +39,20 @@ from recplug.records import (
     register,
     schema_for,
 )
+from recplug.records import _echo
 from recplug.scott import chop2_cps
 
-from support import XInt, XStr, builder_values, rebuild, ref_apply_field, ref_finish
+from support import (
+    Level,
+    SubInt,
+    XInt,
+    XStr,
+    builder_values,
+    rebuild,
+    ref_apply_field,
+    ref_finish,
+    ref_quote,
+)
 
 
 def test_destructure_device_example():
@@ -113,9 +126,10 @@ def test_a_long_str_in_a_bool_field_gives_a_short_error():
 def test_a_long_piece_or_type_id_gives_a_short_error():
     """A value the caller names (a piece, type id, class, field name, kind or
     CPS state) is echoed whole while its repr has at most 40 characters, and
-    past that cut (an int past 20 digits is never made decimal), so a long
-    value gives a short message of its own class; an unhashable type id is an
-    unknown one, and a type id of more than 40 characters is refused."""
+    past that cut (an int past 20 digits, of any class, is never made
+    decimal), so a long value gives a short message of its own class; an
+    unhashable type id is an unknown one, and a type id of more than 40
+    characters is refused."""
     device = mapper("device", destructure_device)
     with pytest.raises(PieceKindError, match=r"^mapper expects a unary field function, got 5$"):
         plug(device, 5)
@@ -123,6 +137,7 @@ def test_a_long_piece_or_type_id_gives_a_short_error():
         with pytest.raises(UnknownTypeError, match=f"^unregistered record type: {echo}$"):
             schema_for(type_id)
     kinds, names = (Kind.BOOL, Kind.INT, Kind.INT), ("n" * 1000, "b", "c", "d")
+    big = SubInt(10**5000)  # an int subclass value is never made decimal either
     long_name = RecordSchema("long_name", Benchmark, destructure_benchmark,
                              tuple(FieldSpec(n, Kind.STR) for n in names))
     for error, call in (
@@ -143,10 +158,44 @@ def test_a_long_piece_or_type_id_gives_a_short_error():
         (TypeError, lambda: register("x", 10**5000, ())),
         (TypeError, lambda: register("x", "c" * 10**6, ())),
         (ValueError, lambda: register("t" * 41, Device, kinds)),
+        (UnknownTypeError, lambda: schema_for(big)),
+        (PieceKindError, lambda: plug(device, big)),
+        (TypeError, lambda: register("x", big, ())),
+        (ValueError, lambda: RecordSchema("k", Device, destructure_device, (FieldSpec("a", big),))),
+        (ContinuationShapeError, lambda: chop2_cps(lambda k: k(big, 1), max)(lambda *args: args)),
+        (UnknownTypeError, lambda: schema_for(Mock(spec=int))),  # an int by isinstance only
     ):
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error and len(str(info.value)) < 200
+
+
+#: Ints of 0 to 5001 digits where the digit count changes: 10**n - 1 (n nines),
+#: 10**n and 10**n + 1, of either sign.
+edge_ints = st.builds(lambda n, d, sign: sign * (10**n + d),
+                      st.integers(0, 5001), st.integers(-1, 1), st.sampled_from([1, -1]))
+
+
+@given(st.one_of(
+    edge_ints,
+    st.just(True),
+    edge_ints.map(SubInt),
+    edge_ints.map(XInt),
+    st.sampled_from(Level),
+    st.text(),
+    st.floats(),
+    st.lists(st.integers(-1000, 1000)).map(tuple),
+    st.integers(1, 100).map(lambda n: type("C" * n, (), {})),
+))
+@example(SubInt(10**25))
+@example(XInt(-(10**20)))
+@example(10**20 - 1)
+@example(-(10**20 - 1))
+def test_an_echo_shows_any_int_past_20_digits_by_its_bit_length(value):
+    """``_echo`` agrees with ``ref_quote``: an int past 20 digits, of any
+    class, shows as its sign and bit length; a smaller subclass value or a
+    bool keeps its repr, and a str or any other value is cut past 40."""
+    assert _echo(value) == ref_quote(value)
 
 
 def test_a_subclass_value_is_stored_as_its_plain_copy():
