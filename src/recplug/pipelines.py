@@ -16,7 +16,6 @@ from .chop import and_then, chop, chop2, hom_wrap, hom_wrap0, hom_wrap2
 from .errors import ArityError, EmptyInputError
 from .records import (
     PLAIN_COPY,
-    TYPE_OF,
     Benchmark,
     Builder,
     Value,
@@ -24,8 +23,8 @@ from .records import (
     destructure_benchmark,
     destructure_device,
     finish,
-    kind_of,
     list_fields,
+    plain_value,
     schema_for,
 )
 
@@ -42,7 +41,7 @@ def render_value(v: Value) -> str:
     """Canonical lexeme for a field value, or a subclass value's plain copy:
     True/False, minimal decimal, the string itself, shortest round-trip float."""
     if type(v) not in PLAIN_COPY:
-        v = PLAIN_COPY[TYPE_OF[kind_of(v)]](v)
+        _, v = plain_value(v)
     return str(v)
 
 

@@ -39,17 +39,18 @@ class Kind(Enum):
 #: The exact type of each kind's plain values.
 TYPE_OF = {Kind.BOOL: bool, Kind.INT: int, Kind.STR: str, Kind.REAL: float}
 
-
-def kind_of(v: Value) -> Kind:
-    for kind, t in TYPE_OF.items():  # bool before int: bool is an int subclass
-        if isinstance(v, t):
-            return kind
-    raise FieldTypeError(f"not a field value: type {_echo(type(v).__name__)}")
-
-
 #: The base slot of each exact type: it copies a subclass value to a plain one
 #: and runs none of its overrides.  bool has no subclasses; its copy is itself.
 PLAIN_COPY = {bool: bool, int: int.__int__, str: str.__str__, float: float.__float__}
+
+
+def plain_value(v: Value) -> tuple[Kind, Value]:
+    """``v``'s kind and plain copy.  ``v``'s class decides them, so a
+    ``__class__`` that names a field type makes no field value."""
+    for kind, t in TYPE_OF.items():  # bool before int: bool is an int subclass
+        if issubclass(type(v), t):
+            return kind, PLAIN_COPY[t](v)
+    raise FieldTypeError(f"not a field value: type {_echo(type(v).__name__)}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +252,7 @@ def check_field(schema: RecordSchema, i: int, v: Value, error: type) -> Value:
     t = schema.types[i]
     if type(v) is t and (t is not int or I64_MIN <= v <= I64_MAX):
         return v
-    got = kind_of(v)
-    v = PLAIN_COPY[TYPE_OF[got]](v)
+    got, v = plain_value(v)
     want = schema.fields[i]
     if got is not want.kind:
         raise error(f"field {_echo(want.name)} of {schema.type_id} expects"

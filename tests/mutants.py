@@ -48,6 +48,7 @@ DECLARED = "tests/test_cli.py::test_a_generated_declaration_round_trips_or_is_re
 BUILDER = "tests/test_records.py::test_builder_matches_tuple_reference"
 SHORT_ECHO = "tests/test_records.py::test_a_long_piece_or_type_id_gives_a_short_error"
 INT_ECHO = "tests/test_records.py::test_an_echo_shows_any_int_past_20_digits_by_its_bit_length"
+KIND = "tests/test_records.py::test_kind_of_distinguishes_bool_from_int"
 
 MUTANTS = (
     # codecs.py, lexeme track: no negative int, no I64_MIN, a tail counted by pieces
@@ -91,6 +92,7 @@ MUTANTS = (
     ("records.py", "issubclass(t := type(value), int)", "(t := type(value)) and isinstance(value, int)",
      (SHORT_ECHO,)),
     ("records.py", "if len(self.type_id) > 40:", "if len(self.type_id) > 41:", (SHORT_ECHO,)),
+    ("records.py", "if issubclass(type(v), t):", "if isinstance(v, t):", (KIND,)),
     # pipelines.py
     ("pipelines.py", "apply_field(s, f(a, c))", "apply_field(s, f(c, a))", (C6,)),
     ("pipelines.py", "lambda x: x + 100", "lambda x: x + 101", (C1,)),

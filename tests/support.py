@@ -54,7 +54,6 @@ from recplug.records import (
     _out_of_range,
     apply_field,
     finish,
-    kind_of,
     list_fields,
     register,
 )
@@ -206,7 +205,7 @@ def random_wide(rng, schema):
 
 # ---------------------------------------------------------------------------
 # Field values of a kind whose exact type is not the kind's plain type: each
-# misses the exact-type fast path of a per-field check and takes kind_of's.
+# misses the exact-type fast path of a per-field check and takes plain_value's.
 
 
 class SubInt(int):
@@ -490,9 +489,9 @@ def ref_scan_named(text: str) -> dict:
 # ---------------------------------------------------------------------------
 # Reference codecs, unstaged: every call builds its primitive table, its
 # applicative chain and its show pipeline afresh, the form the per-schema
-# codec plan replaced.  Every field value is checked with the isinstance
-# kind_of and spelled by an isinstance chain, the forms the exact-type fast
-# path and the by-kind spelling table replaced.
+# codec plan replaced.  Every field value's kind is found by a loop over the
+# kinds' base types, and its plain copy is spelled by an isinstance chain, the
+# forms the exact-type fast path and the by-kind spelling table replaced.
 
 
 def _ref_per_field(table, schema, form):
@@ -540,17 +539,26 @@ def ref_decode_binary(image, schema):
     return finish(built)
 
 
-#: Each kind's base-type copy of a value; none of a subclass's overrides runs.
+#: Each kind's base type, bool before int, and its copy of a value; none of a
+#: subclass's overrides runs.
 _REF_PLAIN = {
-    Kind.BOOL: bool, Kind.INT: int.__int__, Kind.STR: str.__str__, Kind.REAL: float.__float__
+    Kind.BOOL: (bool, bool), Kind.INT: (int, int.__int__), Kind.STR: (str, str.__str__),
+    Kind.REAL: (float, float.__float__),
 }
 
 
 def ref_check_field(schema, i, v, error):
-    """The plain copy of v, if field i of schema admits v: a value of
-    another kind raises error, and an int outside i64 IntOverflowError."""
-    want, got = schema.fields[i], kind_of(v)
-    v = _REF_PLAIN[got](v)
+    """The plain copy of v, if field i of schema admits v: a value whose class
+    subclasses no base type raises FieldTypeError, whatever its __class__
+    claims; a value of another kind raises error, and an int outside i64
+    IntOverflowError."""
+    want = schema.fields[i]
+    for got, (base, copy) in _REF_PLAIN.items():
+        if issubclass(type(v), base):
+            break
+    else:
+        raise FieldTypeError(f"not a field value: type {ref_quote(type(v).__name__)}")
+    v = copy(v)
     if got is not want.kind:
         raise error(
             f"field {ref_quote(want.name)} of {schema.type_id} expects"

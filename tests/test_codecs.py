@@ -47,9 +47,7 @@ from recplug.records import (
     EXAMPLE_DEVICE,
     I64_MAX,
     I64_MIN,
-    PLAIN_COPY,
     REGISTRY,
-    TYPE_OF,
     Benchmark,
     Builder,
     Device,
@@ -57,7 +55,6 @@ from recplug.records import (
     Kind,
     RecordSchema,
     apply_field,
-    kind_of,
     schema_for,
 )
 
@@ -75,6 +72,7 @@ from support import (
     nested_p_ap,
     random_device,
     rebuild,
+    ref_check_field,
     ref_decode_binary,
     ref_encode_binary,
     ref_from_named,
@@ -510,7 +508,7 @@ field_values = {
     Kind.STR: st.text(max_size=8),
     Kind.REAL: st.floats(),
 }
-# Subclass values and IntEnum members take the kind_of path of check_field.
+# Subclass values and IntEnum members take the plain_value path of check_field.
 any_value = st.one_of(*field_values.values(), subclass_values)
 
 
@@ -544,10 +542,10 @@ SHOW_LINES = (partial(show_line, encoding="lisp"), partial(show_line, encoding="
 
 def _shown_line_parses_back(values, schema):
     """ref_show_line's line, if it has one, parses back to the record of the
-    values' plain copies (a bool is already plain)."""
+    values' plain copies."""
     done, line = _outcome(ref_show_line, schema.ctor(*values), schema)
     if done == "ok":
-        plain = [v if type(v) is bool else PLAIN_COPY[TYPE_OF[kind_of(v)]](v) for v in values]
+        plain = [ref_check_field(schema, i, v, WrongValueKindError) for i, v in enumerate(values)]
         assert repr(parse_record(lexemes(line), schema)) == repr(schema.ctor(*plain))
 
 

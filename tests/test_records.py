@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from recplug.codecs import from_named, show_line
+from recplug.codecs import encode_binary, from_named, show_line, to_named
 from recplug.errors import (
     ArityError,
     CodecError,
@@ -16,6 +16,7 @@ from recplug.errors import (
     PieceKindError,
     UnknownTypeError,
 )
+from recplug.pipelines import render_value
 from recplug.plug import mapper, plug
 from recplug.records import (
     BENCHMARK_SCHEMA,
@@ -34,8 +35,8 @@ from recplug.records import (
     destructure_benchmark,
     destructure_device,
     finish,
-    kind_of,
     list_fields,
+    plain_value,
     register,
     schema_for,
 )
@@ -226,13 +227,40 @@ def test_finish():
         finish(Builder(schema_for("device"), (False, 19)))
 
 
+class ClaimsInt:
+    """Not a field value, though its ``__class__`` claims int."""
+
+    @property
+    def __class__(self):
+        return int
+
+
 def test_kind_of_distinguishes_bool_from_int():
-    assert kind_of(True) is Kind.BOOL
-    assert kind_of(1) is Kind.INT
-    assert kind_of("1") is Kind.STR
-    assert kind_of(1.0) is Kind.REAL
-    with pytest.raises(FieldTypeError):
-        kind_of(object())
+    """plain_value decides a value's kind by its class, bool before int, and
+    copies a subclass value to its plain type.  A value whose class subclasses
+    no field type is refused with FieldTypeError, whatever its ``__class__``
+    claims, by the helper and by every boundary that takes a field value."""
+    for v, kind, plain_type in ((True, Kind.BOOL, bool), (1, Kind.INT, int), ("1", Kind.STR, str),
+                                (1.0, Kind.REAL, float), (SubInt(7), Kind.INT, int),
+                                (XStr("s"), Kind.STR, str), (Level.HIGH, Kind.INT, int)):
+        got, plain = plain_value(v)
+        assert got is kind and type(plain) is plain_type and plain == v
+    fakes = (object(), Mock(spec=bool), Mock(spec=int), Mock(spec=str), Mock(spec=float), ClaimsInt())
+    assert all(isinstance(fake, (bool, int, str, float)) for fake in fakes[1:])
+    for fake in fakes:
+        refusal = f"^not a field value: type '{type(fake).__name__}'$"
+        boundaries = (
+            lambda: plain_value(fake),
+            lambda: apply_field(Builder(DEVICE_SCHEMA, (True,)), fake),
+            lambda: render_value(fake),
+            lambda: to_named(Device(True, fake, 1), DEVICE_SCHEMA),
+            lambda: encode_binary(Device(True, fake, 1), DEVICE_SCHEMA),
+            lambda: show_line(Device(fake, 1, 1), DEVICE_SCHEMA, "lisp"),
+            lambda: show_line(Device(fake, 1, 1), DEVICE_SCHEMA, "scott"),
+        )
+        for call in boundaries:
+            with pytest.raises(FieldTypeError, match=refusal):
+                call()
 
 
 def test_registry_has_one_entry_per_type():
