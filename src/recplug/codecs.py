@@ -28,8 +28,9 @@ the other characters below U+0020.  Input accepts exactly those escapes and
 no raw character below U+0020, in JSON strings and in string lexemes alike.
 One decoder reads it: the stdlib C decoder, after which each pair is
 spelled again as to_named spells it and the line must equal that spelling.
-Keys may come in any order and a real may be any finite JSON literal
-(``1.50``, ``2E3``); any other difference is an error at its offset.
+Keys may come in any order and a real may be any finite JSON number with a
+fraction or an exponent (``1.50``, ``2E3``); any other difference is an
+error at its offset.
 """
 
 from __future__ import annotations

@@ -109,19 +109,19 @@ class RecordSchema(namedtuple("RecordSchema", "type_id ctor destruct fields")):
     """
 
     def __init__(self, *value):
-        if any("\ud800" <= c <= "\udfff" for c in self.type_id):  # a lone surrogate
-            raise ValueError(f"type id {_echo(self.type_id)} has no UTF-8 image")
-        if len(self.type_id) > 40:  # every message that names it unquoted stays short
-            raise ValueError(f"type id {_echo(self.type_id)} is longer than 40 characters")
+        type_id = self.type_id  # messages name it unquoted, and --help sorts the ids
+        if type(type_id) is not str or len(type_id) > 40 or not type_id.isprintable():
+            raise ValueError(f"type id {_echo(type_id)} is not a printable str"
+                             " of at most 40 characters")  # nor has a lone surrogate
         seen = set()
         for f in self.fields:
             if not isinstance(f.kind, Kind):
-                raise ValueError(f"field {_echo(f.name)} of {self.type_id}:"
-                                 f" {_echo(f.kind)} is not a Kind")
+                raise ValueError(f"field {_echo(f.name)} of {type_id}: {_echo(f.kind)} is not a Kind")
+            if type(f.name) is not str or any("\ud800" <= c <= "\udfff" for c in f.name):
+                raise ValueError(f"field name {_echo(f.name)} of {type_id}"
+                                 " is not a str with a UTF-8 image")
             if f.name in seen:  # its JSON object would repeat a key
-                raise ValueError(f"field name {_echo(f.name)} of {self.type_id} is repeated")
-            if any("\ud800" <= c <= "\udfff" for c in f.name):  # a lone surrogate
-                raise ValueError(f"field name {_echo(f.name)} of {self.type_id} has no UTF-8 image")
+                raise ValueError(f"field name {_echo(f.name)} of {type_id} is repeated")
             seen.add(f.name)
         #: The codecs staged from this schema by ``codecs``; not part of its value.
         self.codec_plan = {}
@@ -162,28 +162,25 @@ def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
     position; in that order they give the field list.  Field i has kind
     ``kinds[i]`` and is named ``wire_names[i]`` on the wire (the attribute
     name when ``wire_names`` is empty).  The destructor reads the same
-    fields, and the schema is stored in ``REGISTRY``.  A bad declaration, a
-    keyword-only or InitVar dataclass field included, raises and changes
-    nothing.
+    fields, and the schema is stored in ``REGISTRY``.  ``type_id`` is a
+    printable str of at most 40 characters, each wire name a str with a
+    UTF-8 image, used once.  A bad declaration, a keyword-only or InitVar
+    dataclass field included, raises and changes nothing.
     """
-    if type_id in REGISTRY:
-        raise ValueError(f"record type {_echo(type_id)} is already registered")
     names = getattr(cls, "__match_args__", None)
     if names is None:
         raise TypeError(f"{_echo(cls)} has no __match_args__: make it a dataclass or a NamedTuple")
-    dc_fields = getattr(cls, "__dataclass_fields__", {}).values()
-    kw_only = [f.name for f in dc_fields if f.init and f.kw_only is True]
-    if kw_only:
-        raise ValueError(f"{cls.__name__} has keyword-only field(s) {kw_only}:"
-                         " register takes positional fields only")
     # dataclasses' own mark of an InitVar, which a string annotation gets too
-    init_vars = [f.name for f in dc_fields if f._field_type.name == "_FIELD_INITVAR"]
-    if init_vars:
-        raise ValueError(f"{cls.__name__} has InitVar field(s) {init_vars}:"
-                         " __init__ takes them but no instance stores them")
+    dropped = [f.name for f in getattr(cls, "__dataclass_fields__", {}).values()
+               if f.init and f.kw_only is True or f._field_type.name == "_FIELD_INITVAR"]
+    if dropped:
+        raise ValueError(f"{_echo(cls.__name__)} has keyword-only or InitVar field(s)"
+                         f" {_echo(dropped)}: register takes stored positional fields only")
     wires = wire_names or names
     specs = tuple(FieldSpec(w, k) for _, w, k in zip(names, wires, kinds, strict=True))
     schema = RecordSchema(type_id, cls, _pair_destructor(names), specs)
+    if type_id in REGISTRY:
+        raise ValueError(f"record type {_echo(type_id)} is already registered")
     REGISTRY[type_id] = schema
     return schema
 

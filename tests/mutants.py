@@ -49,6 +49,8 @@ BUILDER = "tests/test_records.py::test_builder_matches_tuple_reference"
 SHORT_ECHO = "tests/test_records.py::test_a_long_piece_or_type_id_gives_a_short_error"
 INT_ECHO = "tests/test_records.py::test_an_echo_shows_any_int_past_20_digits_by_its_bit_length"
 KIND = "tests/test_records.py::test_kind_of_distinguishes_bool_from_int"
+BAD = "tests/test_register.py::test_a_bad_declaration_raises_and_registers_nothing"
+REPLACE = "tests/test_register.py::test_make_and_replace_validate_as_the_constructor_does"
 
 MUTANTS = (
     # codecs.py, lexeme track: no negative int, no I64_MIN, a tail counted by pieces
@@ -91,7 +93,15 @@ MUTANTS = (
      (SHORT_ECHO, INT_ECHO)),
     ("records.py", "issubclass(t := type(value), int)", "(t := type(value)) and isinstance(value, int)",
      (SHORT_ECHO,)),
-    ("records.py", "if len(self.type_id) > 40:", "if len(self.type_id) > 41:", (SHORT_ECHO,)),
+    ("records.py", "len(type_id) > 40", "len(type_id) > 41", (SHORT_ECHO,)),
+    ("records.py", " or not type_id.isprintable()", "",
+     (f"{BAD}[type-id-with-newline]", f"{BAD}[type-id-with-escape]",
+      f"{BAD}[type-id-with-rtl-override]", f"{REPLACE}[type-id-with-newline]")),
+    ("records.py", "type(type_id) is not str or ", "",
+     (f"{BAD}[tuple-type-id]", f"{BAD}[int-type-id]", f"{BAD}[list-type-id]")),
+    ("records.py", "type(f.name) is not str or ", "",
+     (f"{BAD}[tuple-wire-name]", f"{BAD}[int-wire-name]")),
+    ("records.py", "f.kw_only is True or ", "", (f"{BAD}[keyword-only-and-initvar-fields]",)),
     ("records.py", "if issubclass(type(v), t):", "if isinstance(v, t):", (KIND,)),
     # pipelines.py
     ("pipelines.py", "apply_field(s, f(a, c))", "apply_field(s, f(c, a))", (C6,)),

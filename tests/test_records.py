@@ -1,3 +1,4 @@
+from dataclasses import field, make_dataclass
 from unittest.mock import Mock
 
 import pytest
@@ -130,7 +131,8 @@ def test_a_long_piece_or_type_id_gives_a_short_error():
     past that cut (an int past 20 digits, of any class, is never made
     decimal), so a long value gives a short message of its own class; an
     unhashable type id is an unknown one, and a type id of more than 40
-    characters is refused."""
+    characters is refused.  A dataclass with 20,000 keyword-only fields, or
+    one with a 100,000-character name, is refused as briefly."""
     device = mapper("device", destructure_device)
     with pytest.raises(PieceKindError, match=r"^mapper expects a unary field function, got 5$"):
         plug(device, 5)
@@ -139,6 +141,10 @@ def test_a_long_piece_or_type_id_gives_a_short_error():
             schema_for(type_id)
     kinds, names = (Kind.BOOL, Kind.INT, Kind.INT), ("n" * 1000, "b", "c", "d")
     big = SubInt(10**5000)  # an int subclass value is never made decimal either
+    # No generated methods: dataclasses takes seconds to make them for 20,000 fields.
+    many_kw_only = make_dataclass("Many", [f"k{i}" for i in range(20_000)],
+                                  kw_only=True, init=False, repr=False, eq=False)
+    long_class = make_dataclass("C" * 100_000, [("k", int, field(kw_only=True))])
     long_name = RecordSchema("long_name", Benchmark, destructure_benchmark,
                              tuple(FieldSpec(n, Kind.STR) for n in names))
     for error, call in (
@@ -159,6 +165,8 @@ def test_a_long_piece_or_type_id_gives_a_short_error():
         (TypeError, lambda: register("x", 10**5000, ())),
         (TypeError, lambda: register("x", "c" * 10**6, ())),
         (ValueError, lambda: register("t" * 41, Device, kinds)),
+        (ValueError, lambda: register("x", many_kw_only, ())),
+        (ValueError, lambda: register("x", long_class, ())),
         (UnknownTypeError, lambda: schema_for(big)),
         (PieceKindError, lambda: plug(device, big)),
         (TypeError, lambda: register("x", big, ())),

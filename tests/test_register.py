@@ -96,6 +96,15 @@ class Scaled:
     offset: "InitVar[int]"
 
 
+@dataclass(frozen=True)
+class Tagged:
+    """One keyword-only field and one InitVar, which one message names."""
+
+    level: int
+    unit: str = field(kw_only=True)
+    factor: InitVar[int] = 1
+
+
 SENSOR_KINDS = (Kind.BOOL, Kind.INT, Kind.STR)
 MAPS = (operator.not_, lambda x: x * 3, str.upper)
 ZIPS = (operator.or_, operator.sub, operator.add)
@@ -238,29 +247,60 @@ def test_a_dataclass_and_a_namedtuple_register_alike():
          "has no __match_args__: make it a dataclass or a NamedTuple"),
         # A decoded record would hold scale's default, and lack unit.
         ("bad", Gauge, (Kind.INT,), (), ValueError,
-         "Gauge has keyword-only field(s) ['unit', 'scale']: register takes positional fields only"),
+         "'Gauge' has keyword-only or InitVar field(s) ['unit', 'scale']:"
+         " register takes stored positional fields only"),
         # to_named would read the InitVars, which no Scaled instance has.
         ("bad", Scaled, (Kind.INT,) * 3, (), ValueError,
-         "Scaled has InitVar field(s) ['factor', 'offset']:"
-         " __init__ takes them but no instance stores them"),
+         "'Scaled' has keyword-only or InitVar field(s) ['factor', 'offset']:"
+         " register takes stored positional fields only"),
+        ("bad", Tagged, (Kind.INT,), (), ValueError,
+         "'Tagged' has keyword-only or InitVar field(s) ['unit', 'factor']:"
+         " register takes stored positional fields only"),
         # Its JSON key could not be written to a UTF-8 stdout.
         ("bad", Solo, (Kind.INT,), ("\ud800",), ValueError,
-         "field name '\\ud800' of bad has no UTF-8 image"),
+         "field name '\\ud800' of bad is not a str with a UTF-8 image"),
+        # to_named, which writes each key as a JSON string, could not write it.
+        ("bad", Solo, (Kind.INT,), (("a", "b"),), ValueError,
+         "field name ('a', 'b') of bad is not a str with a UTF-8 image"),
+        ("bad", Solo, (Kind.INT,), (5,), ValueError,
+         "field name 5 of bad is not a str with a UTF-8 image"),
         # argparse could not write it among --type's choices to a UTF-8 stdout.
         ("bad\ud800", Solo, (Kind.INT,), (), ValueError,
-         "type id 'bad\\ud800' has no UTF-8 image"),
+         "type id 'bad\\ud800' is not a printable str of at most 40 characters"),
+        # --help sorts the ids, which a str and a tuple cannot share.
+        (("x", "y"), Solo, (Kind.INT,), (), ValueError,
+         "type id ('x', 'y') is not a printable str of at most 40 characters"),
+        (5, Solo, (Kind.INT,), (), ValueError,
+         "type id 5 is not a printable str of at most 40 characters"),
+        ([1], Solo, (Kind.INT,), (), ValueError,
+         "type id [1] is not a printable str of at most 40 characters"),
+        # A message that names it unquoted would span two lines, or reach the
+        # terminal with a raw escape or a bidirectional override.
+        ("two\nlines", Solo, (Kind.INT,), (), ValueError,
+         "type id 'two\\nlines' is not a printable str of at most 40 characters"),
+        ("\x1b[31mred", Solo, (Kind.INT,), (), ValueError,
+         "type id '\\x1b[31mred' is not a printable str of at most 40 characters"),
+        ("rtl\u202eid", Solo, (Kind.INT,), (), ValueError,
+         "type id 'rtl\\u202eid' is not a printable str of at most 40 characters"),
     ],
     ids=["repeated-wire-name", "kind-not-a-Kind", "no-match-args", "keyword-only-fields",
-         "initvar-fields", "wire-name-not-utf8", "type-id-not-utf8"],
+         "initvar-fields", "keyword-only-and-initvar-fields", "wire-name-not-utf8",
+         "tuple-wire-name", "int-wire-name", "type-id-not-utf8", "tuple-type-id", "int-type-id",
+         "list-type-id", "type-id-with-newline", "type-id-with-escape", "type-id-with-rtl-override"],
 )
 def test_a_bad_declaration_raises_and_registers_nothing(
     type_id, cls, kinds, wire_names, error, message
 ):
     before = dict(REGISTRY)
-    with pytest.raises(error, match=re.escape(message)) as caught:
-        register(type_id, cls, kinds, wire_names)
+    try:
+        with pytest.raises(error, match=re.escape(message)) as caught:
+            register(type_id, cls, kinds, wire_names)
+    finally:  # a declaration registered by mistake would reach every later test
+        after = dict(REGISTRY)
+        REGISTRY.clear()
+        REGISTRY.update(before)
     assert "\n" not in str(caught.value)
-    assert REGISTRY == before
+    assert after == before
 
 
 def test_duplicate_id_raises(sensor):
@@ -291,9 +331,12 @@ def test_package_exports_register_and_each_module_keeps_its_name():
         ({"fields": (FieldSpec("a", Kind.INT), FieldSpec("a", Kind.STR))},
          "field name 'a' of device is repeated"),
         ({"fields": (FieldSpec("a", "int"),)}, "field 'a' of device: 'int' is not a Kind"),
-        ({"type_id": "d\ud800"}, "type id 'd\\ud800' has no UTF-8 image"),
+        ({"type_id": "d\ud800"},
+         "type id 'd\\ud800' is not a printable str of at most 40 characters"),
+        ({"type_id": "two\nlines"},
+         "type id 'two\\nlines' is not a printable str of at most 40 characters"),
     ],
-    ids=["repeated-wire-name", "kind-not-a-Kind", "type-id-not-utf8"],
+    ids=["repeated-wire-name", "kind-not-a-Kind", "type-id-not-utf8", "type-id-with-newline"],
 )
 def test_make_and_replace_validate_as_the_constructor_does(change, message):
     """``RecordSchema`` is a namedtuple, whose inherited ``_make`` (which
