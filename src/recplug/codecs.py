@@ -204,9 +204,9 @@ def parse_record(stream: Sequence[str], schema: RecordSchema):
 
 
 def _shown(schema: RecordSchema, i: int):
-    """Field ``i``'s lexeme renderer: the lexeme of its checked value.
-    Lexemes are space-separated and lines end at a newline, so a shown
-    string holds no space and no control character; a real is finite."""
+    """Field ``i``'s lexeme renderer: the lexeme of its checked value, a real
+    checked finite too.  Lexemes are space-separated and lines end at a newline,
+    so a shown string holds no space and no control character."""
     t, name = schema.types[i], schema.fields[i].name
 
     def render(v):
@@ -215,8 +215,6 @@ def _shown(schema: RecordSchema, i: int):
             raise CodecError(f"field {_echo(name)} contains a space, not showable")
         if t is str and CONTROL.search(v):
             raise CodecError(f"field {_echo(name)} contains a control character, not showable")
-        if t is float and not math.isfinite(v):
-            raise CodecError(f"field {_echo(name)} is not a finite real, not showable")
         return str(v)  # render_value's lexeme: v is a plain bool, int, str or float
 
     return render
@@ -320,12 +318,6 @@ def decode_binary(image: bytes, schema: RecordSchema):
 # Named-field track (flat JSON subset)
 
 
-def _json_real(v: float) -> str:
-    if not math.isfinite(v):
-        raise CodecError("non-finite reals have no JSON form")
-    return repr(v)  # shortest round-trip decimal, always with '.' or exponent
-
-
 class _RealLiteral(str):
     """A decoded JSON real, kept as its literal."""
 
@@ -335,7 +327,7 @@ class _RealLiteral(str):
 #: to_named's spelling of a value of each exact type, and a decoded real's
 #: spelling; no other decoded value (null, an array, an object) has one.
 _SPELLINGS = {bool: lambda v: "true" if v else "false", int: str,
-              str: encode_basestring, float: _json_real, _RealLiteral: str}
+              str: encode_basestring, float: repr, _RealLiteral: str}
 
 
 def _named_pair(schema: RecordSchema, i: int):

@@ -5,8 +5,8 @@ empty tuple, ``(b, (x, (y, ())))``.  A :class:`Builder` is the staged
 counterpart of a record constructor: it accepts fields one at a time and
 yields the record after exactly arity applications.  A schema derives each
 field's exact type once, so a step checks a plain value with one ``type(v)
-is t`` test (and an inline i64 range test for an int); any other value goes
-to ``check_field``, the one kind and range check, which every codec shares.
+is t`` test (and an inline range test: i64 for an int, finite for a real);
+any other value goes to ``check_field``, every codec's one kind and range check.
 Records, field specs and schemas are ``collections.namedtuple`` classes, so
 importing recplug loads none of ``dataclasses``, ``inspect`` and ``typing``.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
+from math import isfinite
 from operator import attrgetter
 
 from .errors import ArityError, FieldTypeError, IntOverflowError, UnknownTypeError
@@ -176,8 +177,12 @@ def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
     if dropped:
         raise ValueError(f"{_echo(cls.__name__)} has keyword-only or InitVar field(s)"
                          f" {_echo(dropped)}: register takes stored positional fields only")
-    wires = wire_names or names
-    specs = tuple(FieldSpec(w, k) for _, w, k in zip(names, wires, kinds, strict=True))
+    kinds, wires = tuple(kinds), tuple(wire_names) or tuple(names)
+    if type(names) is not tuple or any(type(n) is not str for n in names) \
+            or not len(names) == len(kinds) == len(wires):
+        raise ValueError(f"{_echo(cls.__name__)} has fields {_echo(names)}, {len(kinds)} kind(s)"
+                         f" and {len(wires)} wire name(s): need a str tuple, one kind and name each")
+    specs = tuple(map(FieldSpec, wires, kinds))
     schema = RecordSchema(type_id, cls, _pair_destructor(names), specs)
     if type_id in REGISTRY:
         raise ValueError(f"record type {_echo(type_id)} is already registered")
@@ -245,9 +250,9 @@ def _out_of_range(v) -> str:
 
 def check_field(schema: RecordSchema, i: int, v: Value, error: type) -> Value:
     """``v``, or a subclass value's plain copy, if field ``i`` of ``schema`` admits
-    it; else ``error`` (a wrong kind) or IntOverflowError, echoing ``v`` briefly."""
+    it; else ``error`` (wrong kind, non-finite real) or IntOverflowError, echoing ``v`` briefly."""
     t = schema.types[i]
-    if type(v) is t and (t is not int or I64_MIN <= v <= I64_MAX):
+    if type(v) is t and (I64_MIN <= v <= I64_MAX if t is int else t is not float or isfinite(v)):
         return v
     got, v = plain_value(v)
     want = schema.fields[i]
@@ -256,6 +261,9 @@ def check_field(schema: RecordSchema, i: int, v: Value, error: type) -> Value:
                     f" {want.kind.value}, got {got.value} ({_echo(v)})")
     if got is Kind.INT and not I64_MIN <= v <= I64_MAX:
         raise IntOverflowError(_out_of_range(v))
+    if got is Kind.REAL and not isfinite(v):
+        raise error(f"field {_echo(want.name)} of {schema.type_id} expects a finite real,"
+                    f" got {_echo(v)}")
     return v
 
 
@@ -306,7 +314,7 @@ def apply_field(b: Builder, v: Value) -> Builder:
     except IndexError:
         raise ArityError("apply_field", 0, f"apply_field: {schema.type_id} builder"
                          f" already has all {schema.arity} fields") from None
-    if type(v) is not t or t is int and not I64_MIN <= v <= I64_MAX:
+    if type(v) is not t or t is int and not I64_MIN <= v <= I64_MAX or t is float and not isfinite(v):
         v = check_field(schema, done, v, FieldTypeError)
     grown = object.__new__(Builder)
     grown.schema, grown._count, grown._cells = schema, done + 1, (v, b._cells)

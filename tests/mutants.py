@@ -51,6 +51,9 @@ INT_ECHO = "tests/test_records.py::test_an_echo_shows_any_int_past_20_digits_by_
 KIND = "tests/test_records.py::test_kind_of_distinguishes_bool_from_int"
 BAD = "tests/test_register.py::test_a_bad_declaration_raises_and_registers_nothing"
 REPLACE = "tests/test_register.py::test_make_and_replace_validate_as_the_constructor_does"
+LENGTH = "tests/test_register.py::test_length_mismatch_raises"
+NON_FINITE = "tests/test_records.py::test_a_non_finite_real_is_refused_wherever_a_record_is_built"
+NO_JSON_FORM = "tests/test_codecs.py::test_a_non_finite_real_has_no_json_form"
 
 MUTANTS = (
     # codecs.py, lexeme track: no negative int, no I64_MIN, a tail counted by pieces
@@ -69,13 +72,13 @@ MUTANTS = (
     ("codecs.py", "return bool(b), pos + 1", "return b == 0, pos + 1", (C3, C7)),
     ("codecs.py", 'struct.unpack_from("<q", data, pos)', 'struct.unpack_from("<Q", data, pos)', (C3,)),
     # codecs.py, JSON track
-    ("codecs.py", "str: encode_basestring, float: _json_real",
-     r"""str: lambda v: '"' + v.replace('\\', '\\\\').replace('"', '\\"') + '"', float: _json_real""",
+    ("codecs.py", "str: encode_basestring, float: repr",
+     r"""str: lambda v: '"' + v.replace('\\', '\\\\').replace('"', '\\"') + '"', float: repr""",
      (DECLARED,)),
     ("codecs.py", "if t is int and not I64_MIN <= v <= I64_MAX:",
      "if t is int and not I64_MIN < v <= I64_MAX:", (C3,)),
     ("codecs.py", "if f.name not in pairs:", 'if f.name not in pairs or pairs[f.name] == "":', (C3,)),
-    ("codecs.py", "return repr(v)  # shortest", 'return f"{v:.15e}"  # shortest', (C3,)),
+    ("codecs.py", "float: repr, _RealLiteral", 'float: lambda v: f"{v:.15e}", _RealLiteral', (C3,)),
     ("codecs.py", '",".join(reversed(list_fields(pairs)))', '", ".join(reversed(list_fields(pairs)))',
      (C7,)),
     # records.py
@@ -103,6 +106,16 @@ MUTANTS = (
      (f"{BAD}[tuple-wire-name]", f"{BAD}[int-wire-name]")),
     ("records.py", "f.kw_only is True or ", "", (f"{BAD}[keyword-only-and-initvar-fields]",)),
     ("records.py", "if issubclass(type(v), t):", "if isinstance(v, t):", (KIND,)),
+    ("records.py", " or t is float and not isfinite(v):", ":", (NON_FINITE,)),
+    ("records.py", "else t is not float or isfinite(v)):", "else True):", (NON_FINITE, NO_JSON_FORM)),
+    ("records.py", "if got is Kind.REAL and not isfinite(v):", "if False:",
+     (NON_FINITE, NO_JSON_FORM, "tests/test_codecs.py::test_a_non_finite_real_is_not_showable")),
+    ("records.py", "or not len(names) == len(kinds) == len(wires):", "or False:",
+     (LENGTH, f"{BAD}[one-kind-too-few]", f"{BAD}[one-kind-too-many]",
+      f"{BAD}[one-wire-name-too-few]")),
+    ("records.py", "if type(names) is not tuple or ", "if ",
+     (f"{BAD}[str-match-args]", f"{BAD}[list-match-args]")),
+    ("records.py", "any(type(n) is not str for n in names)", "False", (f"{BAD}[int-match-args]",)),
     # pipelines.py
     ("pipelines.py", "apply_field(s, f(a, c))", "apply_field(s, f(c, a))", (C6,)),
     ("pipelines.py", "lambda x: x + 100", "lambda x: x + 101", (C1,)),

@@ -3,7 +3,6 @@ reference implementations shared by the test modules."""
 
 import dataclasses
 import io
-import math
 import operator
 import re
 import struct
@@ -254,11 +253,11 @@ subclass_values = st.one_of(
     st.integers(-3, 3).map(SubInt),
     st.sampled_from([I64_MIN - 1, I64_MAX + 1]).map(SubInt),
     st.text(max_size=3).map(SubStr),
-    st.floats(allow_nan=False).map(SubReal),
+    st.floats().map(SubReal),
     st.sampled_from(Level),
     st.integers(-3, 3).map(XInt),
     st.text(max_size=3).map(XStr),
-    st.floats(allow_nan=False).map(XReal),
+    st.floats().map(XReal),
 )
 #: Values a builder field may be given: plain ones of every kind, the i64
 #: edges and one past them, None (no field value at all) and subclass values.
@@ -267,7 +266,7 @@ builder_values = st.one_of(
     st.integers(-3, 3),
     st.sampled_from([I64_MIN - 1, I64_MIN, I64_MAX, I64_MAX + 1]),
     st.text(max_size=3),
-    st.floats(allow_nan=False),
+    st.floats(),
     st.none(),
     subclass_values,
 )
@@ -550,8 +549,8 @@ _REF_PLAIN = {
 def ref_check_field(schema, i, v, error):
     """The plain copy of v, if field i of schema admits v: a value whose class
     subclasses no base type raises FieldTypeError, whatever its __class__
-    claims; a value of another kind raises error, and an int outside i64
-    IntOverflowError."""
+    claims; a value of another kind or an infinite or NaN real raises error,
+    and an int outside i64 IntOverflowError."""
     want = schema.fields[i]
     for got, (base, copy) in _REF_PLAIN.items():
         if issubclass(type(v), base):
@@ -566,6 +565,11 @@ def ref_check_field(schema, i, v, error):
         )
     if got is Kind.INT and not I64_MIN <= v <= I64_MAX:
         raise IntOverflowError("integer out of 64-bit signed range: " + ref_quote(v))
+    if got is Kind.REAL and (v != v or abs(v) == float("inf")):
+        raise error(
+            f"field {ref_quote(want.name)} of {schema.type_id} expects a finite real,"
+            f" got {ref_quote(v)}"
+        )
     return v
 
 
@@ -577,8 +581,6 @@ def _ref_json_value(v) -> str:
         return int.__repr__(v)
     if isinstance(v, str):
         return encode_basestring(v)
-    if v != v or v in (float("inf"), float("-inf")):
-        raise CodecError("non-finite reals have no JSON form")
     return float.__repr__(v)
 
 
@@ -611,8 +613,6 @@ def _ref_lexeme(schema, i, v) -> str:
     if isinstance(v, int):
         return int.__repr__(v)
     if isinstance(v, float):
-        if not math.isfinite(v):
-            raise CodecError(f"field {ref_quote(spec.name)} is not a finite real, not showable")
         return float.__repr__(v)
     v = str.__str__(v)
     if " " in v:

@@ -1,4 +1,7 @@
+import math
+import re
 from dataclasses import field, make_dataclass
+from functools import reduce
 from unittest.mock import Mock
 
 import pytest
@@ -17,8 +20,8 @@ from recplug.errors import (
     PieceKindError,
     UnknownTypeError,
 )
-from recplug.pipelines import render_value
-from recplug.plug import mapper, plug
+from recplug.pipelines import depure_map, mapa, render_value, run_map
+from recplug.plug import mapper, plug, run_instance
 from recplug.records import (
     BENCHMARK_SCHEMA,
     DEVICE_SCHEMA,
@@ -42,11 +45,12 @@ from recplug.records import (
     schema_for,
 )
 from recplug.records import _echo
-from recplug.scott import chop2_cps
+from recplug.scott import chop2_cps, cps_destructor, depure_map_cps, mapa_cps, run_map_cps
 
 from support import (
     Level,
     SubInt,
+    SubReal,
     XInt,
     XStr,
     builder_values,
@@ -222,6 +226,27 @@ def test_apply_field_int_range():
     with pytest.raises(IntOverflowError, match=f"range: {I64_MAX + 1}$"):
         apply_field(b, XInt(I64_MAX + 1))
     assert apply_field(b, I64_MAX).supplied[-1] == I64_MAX
+
+
+@pytest.mark.parametrize("real", [math.inf, -math.inf, math.nan, SubReal(math.inf)],
+                         ids=["inf", "-inf", "nan", "SubReal-inf"])
+def test_a_non_finite_real_is_refused_wherever_a_record_is_built(real):
+    """apply_field, a mapa and a mapa_cps pipeline and a mapper instance
+    over benchmark_avg each refuse an infinite or NaN real in a real field
+    with check_field's one message, as they refuse a value of another kind."""
+    schema = schema_for("benchmark_avg")
+    record, maps = Benchmark(1.5, "a", 2.5, "b"), (lambda a: real, str, float, str)
+    builds = (
+        lambda: apply_field(Builder(schema), real),
+        lambda: run_map(reduce(mapa, maps, depure_map("benchmark_avg", schema.destruct))(record)),
+        lambda: run_map_cps(reduce(mapa_cps, maps, depure_map_cps(
+            "benchmark_avg", cps_destructor("benchmark_avg")))(record)),
+        lambda: run_instance(reduce(plug, maps, mapper("benchmark_avg", schema.destruct)), record),
+    )
+    message = f"field 'firstApp' of benchmark_avg expects a finite real, got {float(real)!r}"
+    for build in builds:
+        with pytest.raises(FieldTypeError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_finish():

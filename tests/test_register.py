@@ -77,6 +77,26 @@ class Empty:
 
 
 @dataclass(frozen=True)
+class Point:
+    x: int
+    y: int
+
+
+class NumberedArgs:
+    """A ``__match_args__`` that names no attribute; a class pattern refuses it too."""
+
+    __match_args__ = (1, 2)
+
+
+class StrArgs:
+    __match_args__ = "ab"  # a class pattern wants a tuple, not its characters
+
+
+class ListArgs:
+    __match_args__ = ["a"]
+
+
+@dataclass(frozen=True)
 class Gauge:
     """Keyword-only fields, which no field list can carry, and a class variable."""
 
@@ -106,6 +126,7 @@ class Tagged:
 
 
 SENSOR_KINDS = (Kind.BOOL, Kind.INT, Kind.STR)
+SHAPE_RULE = "need a str tuple, one kind and name each"
 MAPS = (operator.not_, lambda x: x * 3, str.upper)
 ZIPS = (operator.or_, operator.sub, operator.add)
 
@@ -202,7 +223,9 @@ def test_one_and_zero_field_types():
     ],
 )
 def test_length_mismatch_raises(kinds, wire_names):
-    with pytest.raises(ValueError):
+    counts = f"{len(kinds)} kind(s) and {len(wire_names) or 3} wire name(s)"
+    message = f"'Sensor' has fields ('online', 'reading', 'label'), {counts}: {SHAPE_RULE}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         register("mismatch", Sensor, kinds, wire_names)
     assert "mismatch" not in REGISTRY
 
@@ -245,6 +268,20 @@ def test_a_dataclass_and_a_namedtuple_register_alike():
          "field 'online' of bad: 'bool' is not a Kind"),
         ("bad", Plain, (Kind.INT,), (), TypeError,
          "has no __match_args__: make it a dataclass or a NamedTuple"),
+        # A field with no kind, or no wire name, could not travel.
+        ("bad", Point, (Kind.INT,), (), ValueError,
+         f"'Point' has fields ('x', 'y'), 1 kind(s) and 2 wire name(s): {SHAPE_RULE}"),
+        ("bad", Point, (Kind.INT,) * 3, (), ValueError,
+         f"'Point' has fields ('x', 'y'), 3 kind(s) and 2 wire name(s): {SHAPE_RULE}"),
+        ("bad", Point, (Kind.INT,) * 2, ("x",), ValueError,
+         f"'Point' has fields ('x', 'y'), 2 kind(s) and 1 wire name(s): {SHAPE_RULE}"),
+        # The destructor reads each field by its name, as a class pattern does.
+        ("bad", NumberedArgs, (Kind.INT,) * 2, (), ValueError,
+         f"'NumberedArgs' has fields (1, 2), 2 kind(s) and 2 wire name(s): {SHAPE_RULE}"),
+        ("bad", StrArgs, (Kind.INT,) * 2, (), ValueError,
+         f"'StrArgs' has fields 'ab', 2 kind(s) and 2 wire name(s): {SHAPE_RULE}"),
+        ("bad", ListArgs, (Kind.INT,), (), ValueError,
+         f"'ListArgs' has fields ['a'], 1 kind(s) and 1 wire name(s): {SHAPE_RULE}"),
         # A decoded record would hold scale's default, and lack unit.
         ("bad", Gauge, (Kind.INT,), (), ValueError,
          "'Gauge' has keyword-only or InitVar field(s) ['unit', 'scale']:"
@@ -283,7 +320,9 @@ def test_a_dataclass_and_a_namedtuple_register_alike():
         ("rtl\u202eid", Solo, (Kind.INT,), (), ValueError,
          "type id 'rtl\\u202eid' is not a printable str of at most 40 characters"),
     ],
-    ids=["repeated-wire-name", "kind-not-a-Kind", "no-match-args", "keyword-only-fields",
+    ids=["repeated-wire-name", "kind-not-a-Kind", "no-match-args", "one-kind-too-few",
+         "one-kind-too-many", "one-wire-name-too-few", "int-match-args", "str-match-args",
+         "list-match-args", "keyword-only-fields",
          "initvar-fields", "keyword-only-and-initvar-fields", "wire-name-not-utf8",
          "tuple-wire-name", "int-wire-name", "type-id-not-utf8", "tuple-type-id", "int-type-id",
          "list-type-id", "type-id-with-newline", "type-id-with-escape", "type-id-with-rtl-override"],
