@@ -9,7 +9,7 @@ included, is built by plugging: a ``depure_*`` seed, then one wrapper
 (``showa``, ``mapa``, ``zipa`` or a stack op) per step.
 """
 
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 
 from .chop import and_then, chop, chop2, hom_wrap, hom_wrap0, hom_wrap2
@@ -165,19 +165,18 @@ def zip_device_demo():
 
 
 def remap_device_demo():
-    p = depure_map("device", destructure_device)
-    p = and_then(p, pop)
-    p = push(p, True)
-    p = mapa(p, identity)
-    p = and_then(p, pop)
-    p = and_then(p, dup)
-    p = mapa(p, identity)
-    p = mapa(p, identity)
-    return p
+    """``depure_map & pop & push True & mapa id & pop & dup & mapa id & mapa id``."""
+    map_id = partial(mapa, f=identity)
+    pieces = (pop, partial(push, v=True), map_id, pop, dup, map_id, map_id)
+    return reduce(and_then, pieces, depure_map("device", destructure_device))
 
 
 # ---------------------------------------------------------------------------
 # Benchmark averaging: fold with a zip pipeline, then divide with a map one.
+
+#: Sums the app fields and keeps the left logs, which are joined after the fold.
+_BAPPEND = reduce(zipa, (add, _keep_left, add, _keep_left),
+                  depure_zip("benchmark", destructure_benchmark, destructure_benchmark))
 
 
 def average(outputs) -> Benchmark:
@@ -189,14 +188,9 @@ def average(outputs) -> Benchmark:
     included).  The logs are joined once after the fold: concatenating them
     step by step would copy the growing log on every record.
     """
-    bappend = depure_zip("benchmark", destructure_benchmark, destructure_benchmark)
-    bappend = zipa(bappend, add)
-    bappend = zipa(bappend, _keep_left)  # logs are joined after the fold
-    bappend = zipa(bappend, add)
-    bappend = zipa(bappend, _keep_left)
     summed, first_logs, second_logs = Benchmark(0, "", 0, ""), [], []
     for b in outputs:
-        summed = run_zip(bappend(summed, b))
+        summed = run_zip(_BAPPEND(summed, b))
         first_logs.append(b.first_log)
         second_logs.append(b.second_log)
     n = len(first_logs)
@@ -204,9 +198,7 @@ def average(outputs) -> Benchmark:
         raise EmptyInputError("average: need at least one benchmark")
     folded = Benchmark(summed.first_app, "".join(first_logs), summed.second_app, "".join(second_logs))
 
-    bdivide = depure_map("benchmark_avg", destructure_benchmark)
-    bdivide = mapa(bdivide, lambda v: v / n)
-    bdivide = mapa(bdivide, identity)
-    bdivide = mapa(bdivide, lambda v: v / n)
-    bdivide = mapa(bdivide, identity)
+    divide = lambda v: v / n
+    bdivide = reduce(mapa, (divide, identity, divide, identity),
+                     depure_map("benchmark_avg", destructure_benchmark))
     return run_map(bdivide(folded))

@@ -162,11 +162,12 @@ def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
     and a ``typing.NamedTuple`` set, names the fields ``cls`` takes by
     position; in that order they give the field list.  Field i has kind
     ``kinds[i]`` and is named ``wire_names[i]`` on the wire (the attribute
-    name when ``wire_names`` is empty).  The destructor reads the same
-    fields, and the schema is stored in ``REGISTRY``.  ``type_id`` is a
-    printable str of at most 40 characters, each wire name a str with a
-    UTF-8 image, used once.  A bad declaration, a keyword-only or InitVar
-    dataclass field included, raises and changes nothing.
+    name when ``wire_names`` is empty; a str is one name, never split into
+    characters).  The destructor reads the same fields, and the schema is
+    stored in ``REGISTRY``.  ``type_id`` is a printable str of at most 40
+    characters, each wire name a str with a UTF-8 image, used once.  A bad
+    declaration, a keyword-only or InitVar dataclass field included, raises
+    and changes nothing.
     """
     names = getattr(cls, "__match_args__", None)
     if names is None:
@@ -177,7 +178,8 @@ def register(type_id: str, cls: type, kinds, wire_names=()) -> RecordSchema:
     if dropped:
         raise ValueError(f"{_echo(cls.__name__)} has keyword-only or InitVar field(s)"
                          f" {_echo(dropped)}: register takes stored positional fields only")
-    kinds, wires = tuple(kinds), tuple(wire_names) or tuple(names)
+    kinds = tuple(kinds)
+    wires = (wire_names,) if isinstance(wire_names, str) else tuple(wire_names) or tuple(names)
     if type(names) is not tuple or any(type(n) is not str for n in names) \
             or not len(names) == len(kinds) == len(wires):
         raise ValueError(f"{_echo(cls.__name__)} has fields {_echo(names)}, {len(kinds)} kind(s)"

@@ -116,13 +116,15 @@ MUTANTS = (
     ("records.py", "if type(names) is not tuple or ", "if ",
      (f"{BAD}[str-match-args]", f"{BAD}[list-match-args]")),
     ("records.py", "any(type(n) is not str for n in names)", "False", (f"{BAD}[int-match-args]",)),
+    ("records.py", "(wire_names,) if isinstance(wire_names, str) else ", "",
+     (f"{BAD}[str-wire-names]",)),
     # pipelines.py
     ("pipelines.py", "apply_field(s, f(a, c))", "apply_field(s, f(c, a))", (C6,)),
     ("pipelines.py", "lambda x: x + 100", "lambda x: x + 101", (C1,)),
     ("pipelines.py", "lambda a, b: a and b", "lambda a, b: a or b", (C1,)),
     ("pipelines.py", '" ".join(reversed(list_fields(_consumed("run_show", *state))))',
      '" ".join(list_fields(_consumed("run_show", *state)))', (C1,)),
-    ("pipelines.py", "p = push(p, True)", "p = push(p, False)", (C1,)),
+    ("pipelines.py", "partial(push, v=True)", "partial(push, v=False)", (C1,)),
     # chop.py
     ("chop.py", "lambda s, a: step(s, a, c)", "lambda s, a: step(s, c, a)", (C4,)),
     # scott.py

@@ -246,6 +246,17 @@ def test_average_overflow_aborts():
             average(outputs)
 
 
+def test_average_builds_its_append_fold_once():
+    """The append fold depends on the benchmark schema alone, so importing
+    ``pipelines`` builds it and no ``average`` call builds it again."""
+    outputs = [Benchmark(10, "a", 20, "b"), Benchmark(30, "c", 40, "d")]
+    with patch.object(pipelines, "zipa", wraps=zipa) as wrapped_zipa, patch.object(
+        pipelines, "depure_zip", wraps=depure_zip
+    ) as wrapped_seed:
+        assert average(outputs) == average(outputs) == Benchmark(20.0, "ac", 30.0, "bd")
+    assert wrapped_zipa.call_count == wrapped_seed.call_count == 0
+
+
 def test_pipelines_are_pure():
     p = map_device_demo()
     assert p(EXAMPLE_DEVICE) == p(EXAMPLE_DEVICE)

@@ -206,10 +206,15 @@ def test_one_and_zero_field_types():
         assert show_line(Solo(3), solo, "scott") == "3"
         assert from_named(to_named(Solo(3), solo), solo) == Solo(3)
         assert to_named(Solo(3), solo) == '{"value":3}'
+        # A str given as wire_names is the one field's name.
+        named = register("named", Solo, (Kind.INT,), "x")
+        assert [f.name for f in named.fields] == ["x"]
+        assert to_named(Solo(3), named) == '{"x":3}'
         assert empty.destruct(Empty()) == ()
         assert decode_binary(encode_binary(Empty(), empty), empty) == Empty()
     finally:
         REGISTRY.pop("solo", None)
+        REGISTRY.pop("named", None)
         REGISTRY.pop("empty", None)
 
 
@@ -301,6 +306,9 @@ def test_a_dataclass_and_a_namedtuple_register_alike():
          "field name ('a', 'b') of bad is not a str with a UTF-8 image"),
         ("bad", Solo, (Kind.INT,), (5,), ValueError,
          "field name 5 of bad is not a str with a UTF-8 image"),
+        # A str is one wire name, never split into one name per character.
+        ("bad", Point, (Kind.INT,) * 2, "xy", ValueError,
+         f"'Point' has fields ('x', 'y'), 2 kind(s) and 1 wire name(s): {SHAPE_RULE}"),
         # argparse could not write it among --type's choices to a UTF-8 stdout.
         ("bad\ud800", Solo, (Kind.INT,), (), ValueError,
          "type id 'bad\\ud800' is not a printable str of at most 40 characters"),
@@ -324,8 +332,9 @@ def test_a_dataclass_and_a_namedtuple_register_alike():
          "one-kind-too-many", "one-wire-name-too-few", "int-match-args", "str-match-args",
          "list-match-args", "keyword-only-fields",
          "initvar-fields", "keyword-only-and-initvar-fields", "wire-name-not-utf8",
-         "tuple-wire-name", "int-wire-name", "type-id-not-utf8", "tuple-type-id", "int-type-id",
-         "list-type-id", "type-id-with-newline", "type-id-with-escape", "type-id-with-rtl-override"],
+         "tuple-wire-name", "int-wire-name", "str-wire-names", "type-id-not-utf8", "tuple-type-id",
+         "int-type-id", "list-type-id", "type-id-with-newline", "type-id-with-escape",
+         "type-id-with-rtl-override"],
 )
 def test_a_bad_declaration_raises_and_registers_nothing(
     type_id, cls, kinds, wire_names, error, message
