@@ -107,16 +107,9 @@ def run_zip(state):
 # Stack-machine operators on the pending field list.
 
 
-def _pop_step(state):
-    acc, rest = state
-    if rest == ():
-        raise ArityError("pop", 0)
-    _, tail = rest
-    return (acc, tail)
-
-
 def pop(pipeline):
-    return hom_wrap0(_pop_step, pipeline)
+    """A ``chop`` that drops the field."""
+    return hom_wrap(chop, pipeline, _keep_left)
 
 
 def _push_step(state, v):

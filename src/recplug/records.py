@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
+from functools import reduce
 from math import isfinite
 from operator import attrgetter
 
@@ -128,15 +129,13 @@ class RecordSchema(namedtuple("RecordSchema", "type_id ctor destruct fields")):
         self.codec_plan = {}
         #: Each field's exact type, derived from its kind; not part of its value.
         self.types = tuple(TYPE_OF[f.kind] for f in self.fields)
+        #: The number of fields; not part of its value.
+        self.arity = len(self.fields)
         #: The set of wire names, which ``from_named`` reads; not part of its value.
         self.wire_names = frozenset(seen)
 
     #: The inherited ``_make``, which ``_replace`` calls, would skip ``__init__``.
     _make = classmethod(lambda cls, values: cls(*values))
-
-    @property
-    def arity(self) -> int:
-        return len(self.fields)
 
 
 REGISTRY: dict[str, RecordSchema] = {}
@@ -276,8 +275,9 @@ def check_field(schema: RecordSchema, i: int, v: Value, error: type) -> Value:
 class Builder:
     """A record constructor applied one field at a time.
 
-    ``Builder(schema, supplied)`` has the values ``supplied`` (a tuple in
-    field order) already applied, each by ``apply_field``.  They are kept as
+    ``Builder(schema, supplied)`` is ``reduce(apply_field, supplied,
+    Builder(schema))``: the values ``supplied`` (in field order) applied to
+    the empty builder, each by ``apply_field``.  They are kept as
     a persistent cons chain, newest first, with a count, so ``apply_field``
     adds one cell and copies nothing, and ``finish`` unrolls the chain once.
     Instances are never mutated; two builders are equal when their schemas
@@ -286,11 +286,10 @@ class Builder:
 
     __slots__ = ("schema", "_count", "_cells")
 
-    def __init__(self, schema: RecordSchema, supplied: tuple = ()):
-        self.schema, self._count, self._cells = schema, 0, ()
-        for v in supplied:
-            grown = apply_field(self, v)
-            self._count, self._cells = grown._count, grown._cells
+    def __new__(cls, schema: RecordSchema, supplied: tuple = ()):
+        empty = object.__new__(cls)
+        empty.schema, empty._count, empty._cells = schema, 0, ()
+        return reduce(apply_field, supplied, empty)
 
     @property
     def supplied(self) -> tuple:

@@ -118,6 +118,9 @@ MUTANTS = (
     ("records.py", "any(type(n) is not str for n in names)", "False", (f"{BAD}[int-match-args]",)),
     ("records.py", "(wire_names,) if isinstance(wire_names, str) else ", "",
      (f"{BAD}[str-wire-names]",)),
+    ("records.py", "reduce(apply_field, supplied, empty)", "reduce(apply_field, supplied[1:], empty)",
+     (BUILDER,)),
+    ("records.py", "self.arity = len(self.fields)", "self.arity = len(self.fields) + 1", (C5,)),
     # pipelines.py
     ("pipelines.py", "apply_field(s, f(a, c))", "apply_field(s, f(c, a))", (C6,)),
     ("pipelines.py", "lambda x: x + 100", "lambda x: x + 101", (C1,)),
@@ -125,6 +128,8 @@ MUTANTS = (
     ("pipelines.py", '" ".join(reversed(list_fields(_consumed("run_show", *state))))',
      '" ".join(list_fields(_consumed("run_show", *state)))', (C1,)),
     ("pipelines.py", "partial(push, v=True)", "partial(push, v=False)", (C1,)),
+    ("pipelines.py", "hom_wrap(chop, pipeline, _keep_left)", "hom_wrap(chop, pipeline, lambda a, b: b)",
+     (C1, "tests/test_pipelines.py::test_pop_push_dup_steps")),
     # chop.py
     ("chop.py", "lambda s, a: step(s, a, c)", "lambda s, a: step(s, c, a)", (C4,)),
     # scott.py

@@ -208,8 +208,9 @@ def test_pop_push_dup_steps():
     assert onto_nil(None)[1] == (5, ())
 
     empty = depure_show(lambda r: ())
-    with pytest.raises(ArityError):
-        pop(empty)(None)
+    with pytest.raises(ArityError, match=r"^chop: 0 field\(s\) remaining$") as info:
+        pop(empty)(None)  # pop is one chop step
+    assert (info.value.op, info.value.remaining) == ("chop", 0)
     with pytest.raises(ArityError):
         dup(empty)(None)
 

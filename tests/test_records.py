@@ -99,7 +99,7 @@ def test_apply_field_on_full_builder():
     b = Builder(schema_for("device"), (True, 119, 201))
     with pytest.raises(ArityError):
         apply_field(b, 5)
-    with pytest.raises(ArityError, match="already has all 3 fields"):
+    with pytest.raises(ArityError, match=r"^apply_field: device builder already has all 3 fields$"):
         Builder(schema_for("device"), (False, 19, 1, 7))
 
 
@@ -117,6 +117,8 @@ def test_apply_field_kind_mismatch():
     # Values supplied to the constructor are checked as apply_field checks them.
     with pytest.raises(FieldTypeError, match=r"'block' of device expects bool, got str \('x'\)$"):
         Builder(schema_for("device"), ("x", 19, 1))
+    with pytest.raises(FieldTypeError, match=r"^field 'major' of device expects int, got str \('x'\)$"):
+        Builder(DEVICE_SCHEMA, (True, "x"))
 
 
 def test_a_long_str_in_a_bool_field_gives_a_short_error():
@@ -357,11 +359,11 @@ def test_builder_matches_tuple_reference(type_id, values):
 
 
 def test_positional_schema_derives_types():
-    """The derived types are no part of a schema's value: a positionally
+    """The derived types and arity are no part of a schema's value: a positionally
     built schema compares, hashes and prints by its four arguments alone."""
     specs = tuple(FieldSpec(f"f{i}", k) for i, k in enumerate(Kind))
     a, b = (RecordSchema("kinds", tuple, list_fields, specs) for _ in range(2))
-    assert a.types == (bool, int, str, float)
+    assert (a.types, a.arity) == ((bool, int, str, float), 4)
     assert a == b and hash(a) == hash(b)
     assert repr(a) == (
         f"RecordSchema(type_id='kinds', ctor={tuple!r}, destruct={list_fields!r}, fields={specs!r})"
@@ -370,18 +372,18 @@ def test_positional_schema_derives_types():
     with pytest.raises(TypeError):
         RecordSchema("kinds", tuple, list_fields, specs, {}, (int,) * 4)
     for schema in REGISTRY.values():
-        assert len(schema.types) == schema.arity
+        assert len(schema.types) == schema.arity == len(schema.fields)
 
 
 def test_every_way_to_make_a_schema_derives_types():
     """``_make`` and ``_replace`` go through ``__init__``: the copy derives
-    its own types and gets its own codec plan."""
+    its own types and arity and gets its own codec plan."""
     made = (
         RecordSchema._make(BENCHMARK_SCHEMA),
         DEVICE_SCHEMA._replace(fields=BENCHMARK_SCHEMA.fields),
     )
     for schema in made:
-        assert schema.types == (int, str, int, str)
+        assert (schema.types, schema.arity) == ((int, str, int, str), 4)
         assert schema.wire_names == {"firstApp", "firstLog", "secondApp", "secondLog"}
         assert schema.codec_plan == {} and schema.codec_plan is not BENCHMARK_SCHEMA.codec_plan
 
