@@ -9,7 +9,7 @@ value, not a chain of nested closures, so running it takes one loop however
 many steps it has.
 """
 
-from .errors import ArityError
+from .errors import ArityError, Error
 
 
 def chop(state, step):
@@ -59,10 +59,13 @@ class Pipeline:
     Running it on ``*records`` equals the nested closures
     ``chopper_n(... chopper_1(seed(*records), step_1) ..., step_n)``, run
     as one loop over the flat ``steps`` tuple, so the Python stack stays
-    flat at any arity.  ``Pipeline(prior, last)`` is O(1): it keeps
-    ``prior`` and one new step; its seed is ``prior``'s if ``prior`` is of
-    its own class, else ``prior``.  ``steps`` walks back to the seed once,
-    on first read, and caches the tuple; nothing else is ever written.
+    flat at any arity.  A step's ``Error`` leaves with ``state``, what the
+    step was given, unless an inner run set it: ``(Builder, *lists)``,
+    ``_count`` the field index, ``(show stack, list)``, as many cells long, or
+    a decoder's ``(Builder, src, pos)``.  ``Pipeline(prior, last)`` is O(1):
+    it keeps ``prior`` and one new step; its seed is ``prior``'s if ``prior``
+    is of its own class, else ``prior``.  ``steps`` walks back to the seed
+    once, on first read, and caches the tuple; nothing else is ever written.
     """
 
     __slots__ = ("seed", "_prior", "_last", "_steps")
@@ -84,8 +87,12 @@ class Pipeline:
 
     def __call__(self, *records):
         state = self.seed(*records)
-        for chopper, step in self.steps:
-            state = chopper(state, step)
+        try:
+            for chopper, step in self.steps:
+                state = chopper(state, step)
+        except Error as exc:
+            exc.state = state if exc.state is None else exc.state
+            raise
         return state
 
 

@@ -2,7 +2,9 @@
 
 
 class Error(Exception):
-    """Base class for every error this package raises deliberately."""
+    """Base class for every error this package raises deliberately.  The
+    innermost run loop sets ``state`` (``chop.Pipeline``, ``scott.CpsChain``)."""
+    state = None
 
 
 class ArityError(Error):

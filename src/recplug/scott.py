@@ -22,7 +22,7 @@ is a chain of the same kind.
 from functools import reduce
 
 from .chop import Pipeline, hom_wrap
-from .errors import ContinuationShapeError
+from .errors import ContinuationShapeError, Error
 from .pipelines import DEVICE_MAPS, DEVICE_ZIPS
 from .records import Builder, _echo, apply_field, finish, list_fields, schema_for
 
@@ -58,8 +58,9 @@ class CpsChain(Pipeline):
     Calling a chain with ``k`` calls its seed with one ``feed``.  ``feed(acc,
     a1, ..., aN)`` applies each step in order, ``acc = step(acc, a)``, then
     calls ``k(acc, *rest)`` once; that equals one nested continuation per
-    step, run as one loop, so the Python stack stays flat at any arity.
-    """
+    step, run as one loop, so the Python stack stays flat at any arity.  A
+    step's ``Error`` leaves with ``state = (acc, *fields left)``, the
+    failing field first, unless an inner run set it."""
 
     __slots__ = ()
 
@@ -67,18 +68,18 @@ class CpsChain(Pipeline):
         steps = self.steps
 
         def feed(*args):
-            acc, fields = (args[0], args[1:]) if args else (None, ())
-            for (_, step), a in zip(steps, fields):
-                acc = step(acc, a)
-            n = len(fields)
-            if n < len(steps):
-                count = len(args) - n
-                raise ContinuationShapeError(
-                    2,
-                    count,
-                    f"{steps[n][0]}: state yields {count} value(s), needs the"
-                    " accumulator plus at least one field",
-                )
+            acc, *fields = args or (None,)
+            try:
+                for (_, step), a in (pairs := zip(steps, fields)):
+                    acc = step(acc, a)
+            except Error as exc:  # fields[i]'s step failed; pairs holds the pairs after it
+                i = min(len(steps), len(fields)) - 1 - len(list(pairs))
+                exc.state = (acc, *fields[i:]) if exc.state is None else exc.state
+                raise
+            if len(fields) < len(steps):
+                count = len(args) - len(fields)
+                raise ContinuationShapeError(2, count, f"{steps[len(fields)][0]}: state yields {count}"
+                                             " value(s), needs the accumulator plus at least one field")
             return k(acc, *fields[len(steps) :])
 
         return self.seed(feed)

@@ -54,6 +54,18 @@ REPLACE = "tests/test_register.py::test_make_and_replace_validate_as_the_constru
 LENGTH = "tests/test_register.py::test_length_mismatch_raises"
 NON_FINITE = "tests/test_records.py::test_a_non_finite_real_is_refused_wherever_a_record_is_built"
 NO_JSON_FORM = "tests/test_codecs.py::test_a_non_finite_real_has_no_json_form"
+STATE = "tests/test_state.py::test_"
+# Its ids name the outer run's track, then the inner run's.
+NESTED = f"{STATE}an_inner_runs_state_survives_the_outer_handler"
+STATE_PAIR = tuple(STATE + name for name in (
+    "a_truncated_image_stops_at_minor_and_its_offset", "a_bad_bool_byte_stops_at_the_first_field_and_offset_0",
+    "a_bad_lexeme_stops_at_its_field_and_lexeme_index",
+    "a_pair_track_encoder_stops_with_a_stack_as_long_as_the_field_index",
+    "run_map_stops_with_a_builder_at_the_field_index", "run_zip_stops_with_a_builder_and_both_field_lists",
+    "run_instance_stops_with_a_builder_at_the_field_index"))
+STATE_CPS = tuple(STATE + name for name in (
+    "the_cps_show_stops_with_a_stack_and_the_fields_left", "run_map_cps_stops_with_a_builder_and_the_fields_left",
+    "run_zip_cps_stops_in_the_inner_chain_with_the_first_records_fields_left"))
 
 MUTANTS = (
     # codecs.py, lexeme track: no negative int, no I64_MIN, a tail counted by pieces
@@ -132,10 +144,21 @@ MUTANTS = (
      (C1, "tests/test_pipelines.py::test_pop_push_dup_steps")),
     # chop.py
     ("chop.py", "lambda s, a: step(s, a, c)", "lambda s, a: step(s, c, a)", (C4,)),
+    ("chop.py", "            exc.state = state if exc.state is None else exc.state\n            raise\n",
+     "            raise\n", STATE_PAIR),
+    ("chop.py", "exc.state = state if exc.state is None else exc.state", "exc.state = state",
+     (f"{NESTED}[pair-pair]", f"{NESTED}[pair-cps]")),
     # scott.py
     ("scott.py", '_fuse("chop2_cps", f)', '_fuse("chop2_cps", lambda s, a, c: f(s, c, a))', (C4,)),
     ("scott.py", '" ".join(reversed(list_fields(state(_single))))',
      '" ".join(list_fields(state(_single)))', (C2, C7)),
+    ("scott.py", "                i = min(len(steps), len(fields)) - 1 - len(list(pairs))\n"
+     "                exc.state = (acc, *fields[i:]) if exc.state is None else exc.state\n                raise\n",
+     "                raise\n", STATE_CPS),
+    ("scott.py", "exc.state = (acc, *fields[i:]) if exc.state is None else exc.state",
+     "exc.state = (acc, *fields[i:])", (f"{NESTED}[cps-pair]", f"{NESTED}[cps-cps]")),
+    ("scott.py", "min(len(steps), len(fields)) - 1 - len(list(pairs))",
+     "min(len(steps), len(fields)) - len(list(pairs))", STATE_CPS),
     ("scott.py", "reduce(mapa_cps, DEVICE_MAPS, seed)",
      "reduce(mapa_cps, (*DEVICE_MAPS[:2], lambda y: y + 201), seed)", (C7,)),
     ("scott.py", "reduce(zipa_cps, DEVICE_ZIPS, seed)",

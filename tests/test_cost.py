@@ -1,8 +1,10 @@
 """Each layer's cost is affine in its size: fields for a record layer,
-records for average, lines for main.  A profiler counts the calls of one
-run at sizes 48, 96 and 192, and the three counts must lie on one line.
-Calls are counted exactly, so no timing noise blurs the check.  Only
-affinity is checked: the counts per unit differ between Python versions."""
+records for average, lines for main.  A profiler counts the calls, and a
+tracer the opcodes, of one run at sizes 48, 96 and 192, and each count's
+three values must lie on one line.  Both are counted exactly, so no timing noise blurs
+the check.  Only affinity is checked: the counts per unit differ between
+Python versions.  ``python tests/test_cost.py`` prints each record layer's
+opcodes and calls per field."""
 
 import gc
 import sys
@@ -27,27 +29,34 @@ SAMPLE = {Kind.BOOL: True, Kind.INT: -7, Kind.STR: 'a"é'}
 
 
 def calls(run):
-    """The call and c_call events of run(), counted on a second call, so
-    that every staged codec and pipeline already exists.  The cyclic
-    collector is off while it counts: a collection may call finalizers and
-    weakref callbacks of objects that the run did not make."""
+    """(calls, opcodes): the call and c_call events and the opcode events
+    of run(), counted on a second call, so that every staged codec and
+    pipeline already exists.  The cyclic collector is off while it counts:
+    a collection may call finalizers and weakref callbacks of objects that
+    the run did not make."""
     run()
-    count = 0
+    counts = [0, 0]
 
     def profile(frame, event, arg):
-        nonlocal count
-        count += event in ("call", "c_call")
+        counts[0] += event in ("call", "c_call")
 
-    previous, collecting = sys.getprofile(), gc.isenabled()
+    def trace(frame, event, arg):
+        frame.f_trace_opcodes = True
+        counts[1] += event == "opcode"
+        return trace
+
+    profiler, tracer, collecting = sys.getprofile(), sys.gettrace(), gc.isenabled()
     gc.disable()
     sys.setprofile(profile)
+    sys.settrace(trace)
     try:
         run()
     finally:
-        sys.setprofile(previous)
+        sys.settrace(tracer)
+        sys.setprofile(profiler)
         if collecting:
             gc.enable()
-    return count
+    return tuple(counts)
 
 
 RECORD_LAYERS = (
@@ -98,8 +107,10 @@ STREAM_LAYERS = {
 
 
 def assert_affine(counts):
-    (small, mid, large), (n0, n1, n2) = counts, SIZES
-    assert (mid - small) * (n2 - n1) == (large - mid) * (n1 - n0), dict(zip(SIZES, counts))
+    """Each of the (calls, opcodes) counts at SIZES lies on one line."""
+    (n0, n1, n2) = SIZES
+    for small, mid, large in zip(*counts):
+        assert (mid - small) * (n2 - n1) == (large - mid) * (n1 - n0), dict(zip(SIZES, counts))
 
 
 @pytest.mark.parametrize("layer", RECORD_LAYERS)
@@ -114,3 +125,16 @@ def test_a_record_layer_costs_affine_calls_in_its_arity(layer):
 @pytest.mark.parametrize("layer", sorted(STREAM_LAYERS))
 def test_a_stream_layer_costs_affine_calls_in_its_length(layer):
     assert_affine([calls(STREAM_LAYERS[layer](n)) for n in SIZES])
+
+
+if __name__ == "__main__":
+    table = {layer: [] for layer in RECORD_LAYERS}
+    for n in SIZES:
+        with registered_wide(n) as schema:
+            runs = record_layers(schema)
+            for layer in RECORD_LAYERS:
+                table[layer].append(calls(runs[layer]))
+    print(f"{'layer':16} {'opcodes':>8} {'calls':>6}  per field; {'opcodes':>8} {'calls':>6}  per run")
+    for layer, ((c0, o0), _, (c2, o2)) in table.items():
+        co, oo = (c2 - c0) / (SIZES[-1] - SIZES[0]), (o2 - o0) / (SIZES[-1] - SIZES[0])
+        print(f"{layer:16} {oo:8.2f} {co:6.2f}{'':12}{o0 - oo * SIZES[0]:8.2f} {c0 - co * SIZES[0]:6.2f}")
