@@ -26,11 +26,12 @@ escaped exactly as ``json.dumps(..., ensure_ascii=False)`` escapes them:
 ``\\"`` and ``\\\\``, ``\\b \\f \\n \\r \\t``, and ``\\u00xx`` (lowercase hex) for
 the other characters below U+0020.  Input accepts exactly those escapes and
 no raw character below U+0020, in JSON strings and in string lexemes alike.
-One decoder reads it: the stdlib C decoder, after which each pair is
-spelled again as to_named spells it and the line must equal that spelling.
-Keys may come in any order and a real may be any finite JSON number with a
-fraction or an exponent (``1.50``, ``2E3``); any other difference is an
-error at its offset.
+``from_named`` decodes it with the stdlib C decoder and spells each pair
+again as to_named spells it.  Keys may come in any order and a real may be
+any finite JSON number with a fraction or an exponent (``1.50``, ``2E3``).
+It refuses, first match first: (1) a malformed or non-canonical line, at
+its offset; (2) extra keys; (3) a missing key or a wrong kind, whichever
+comes first in field order.
 """
 
 from __future__ import annotations
@@ -355,9 +356,9 @@ _DECODER = json.JSONDecoder(
 )
 
 
-def _named_pairs(text: str) -> dict:
-    """``text``'s pairs, if it is a flat object of unique keys spelled as
-    to_named spells it, keys in any order, a real as any finite literal."""
+def from_named(text: str, schema: RecordSchema):
+    """Rebuild a record by name; key order is free.  The first refusal wins: a malformed
+    or non-canonical line at its offset, extra keys, a missing key or wrong kind in field order."""
     if text[:1] != "{":  # a line such as [["block",true]] would decode to pairs
         raise MalformedJsonError("expected a flat JSON object")
     try:
@@ -386,19 +387,13 @@ def _named_pairs(text: str) -> dict:
     if canonical != text:
         i = len(os.path.commonprefix((canonical, text)))
         raise MalformedJsonError(f"not in canonical spelling at offset {i}")
-    return named
-
-
-def from_named(text: str, schema: RecordSchema):
-    """Rebuild a record by name; key order is free, extras are rejected."""
-    pairs = _named_pairs(text)
-    extra = sorted(pairs.keys() - schema.wire_names)
+    extra = sorted(named.keys() - schema.wire_names)
     if extra:  # the first three, then how many there are
         more = f", … ({len(extra)} keys)" if len(extra) > 3 else ""
         raise ExtraKeyError(f"unexpected key(s): {', '.join(map(_echo, extra[:3]))}{more}")
-    values = []  # no Builder: the arity is checked already
-    for i, f in enumerate(schema.fields):
-        if f.name not in pairs:
-            raise MissingKeyError(f"missing key {_echo(f.name)}")
-        values.append(check_field(schema, i, pairs[f.name], WrongValueKindError))
+    try:  # only named[f.name] raises KeyError
+        values = [check_field(schema, i, named[f.name], WrongValueKindError)
+                  for i, f in enumerate(schema.fields)]
+    except KeyError as exc:
+        raise MissingKeyError(f"missing key {_echo(exc.args[0])}") from None
     return schema.ctor(*values)

@@ -54,6 +54,7 @@ REPLACE = "tests/test_register.py::test_make_and_replace_validate_as_the_constru
 LENGTH = "tests/test_register.py::test_length_mismatch_raises"
 NON_FINITE = "tests/test_records.py::test_a_non_finite_real_is_refused_wherever_a_record_is_built"
 NO_JSON_FORM = "tests/test_codecs.py::test_a_non_finite_real_has_no_json_form"
+FIRST_FAULT = "tests/test_codecs.py::test_from_named_names_the_first_fault_in_field_order"
 STATE = "tests/test_state.py::test_"
 # Its ids name the outer run's track, then the inner run's.
 NESTED = f"{STATE}an_inner_runs_state_survives_the_outer_handler"
@@ -89,7 +90,12 @@ MUTANTS = (
      (DECLARED,)),
     ("codecs.py", "if t is int and not I64_MIN <= v <= I64_MAX:",
      "if t is int and not I64_MIN < v <= I64_MAX:", (C3,)),
-    ("codecs.py", "if f.name not in pairs:", 'if f.name not in pairs or pairs[f.name] == "":', (C3,)),
+    ("codecs.py", "named[f.name], WrongValueKindError",
+     'named[f.name] if named.get(f.name) != "" else {}[f.name], WrongValueKindError', (C3,)),
+    # the whole key set checked before any kind
+    ("codecs.py", "        values = [check_field(",
+     "        [named[f.name] for f in schema.fields]\n        values = [check_field(",
+     (f"{FIRST_FAULT}[device-kind-then-missing]", f"{FIRST_FAULT}[benchmark-kind-then-missing]")),
     ("codecs.py", "float: repr, _RealLiteral", 'float: lambda v: f"{v:.15e}", _RealLiteral', (C3,)),
     ("codecs.py", '",".join(reversed(list_fields(pairs)))', '", ".join(reversed(list_fields(pairs)))',
      (C7,)),

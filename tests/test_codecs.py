@@ -373,6 +373,42 @@ def test_from_named_diagnostics(type_id, line, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "type_id,line,error,message",
+    [
+        pytest.param("device", '{"block":5,"major":1}', WrongValueKindError,
+                     "field 'block' of device expects bool, got int (5)", id="device-kind-then-missing"),
+        pytest.param("device", '{"block":true,"minor":"x"}', MissingKeyError, "missing key 'major'",
+                     id="device-missing-then-kind"),
+        pytest.param("device", '{"minor":1}', MissingKeyError, "missing key 'block'", id="device-two-missing"),
+        pytest.param("device", '{"block":1,"major":true,"minor":1}', WrongValueKindError,
+                     "field 'block' of device expects bool, got int (1)", id="device-two-kinds"),
+        pytest.param("device", '{"block":true,"patch":1}', ExtraKeyError, "unexpected key(s): 'patch'",
+                     id="device-extra-and-missing"),
+        pytest.param("device", '{"block":1,"major":1,"minor":1,"patch":1}', ExtraKeyError,
+                     "unexpected key(s): 'patch'", id="device-extra-and-kind"),
+        pytest.param("benchmark", '{"firstApp":1,"firstLog":2,"secondLog":"b"}', WrongValueKindError,
+                     "field 'firstLog' of benchmark expects str, got int (2)", id="benchmark-kind-then-missing"),
+        pytest.param("benchmark", '{"firstApp":1,"secondApp":"x","secondLog":"b"}', MissingKeyError,
+                     "missing key 'firstLog'", id="benchmark-missing-then-kind"),
+        pytest.param("benchmark", '{"firstApp":1,"secondLog":"b"}', MissingKeyError, "missing key 'firstLog'",
+                     id="benchmark-two-missing"),
+        pytest.param("benchmark", '{"firstApp":"a","firstLog":"b","secondApp":"c","secondLog":4}',
+                     WrongValueKindError, "field 'firstApp' of benchmark expects int, got str ('a')",
+                     id="benchmark-two-kinds"),
+        pytest.param("benchmark", '{"firstApp":1,"log":"a"}', ExtraKeyError, "unexpected key(s): 'log'",
+                     id="benchmark-extra-and-missing"),
+        pytest.param("benchmark", '{"firstApp":1,"firstLog":"a","log":"a","secondApp":true,"secondLog":"b"}',
+                     ExtraKeyError, "unexpected key(s): 'log'", id="benchmark-extra-and-kind"),
+    ],
+)
+def test_from_named_names_the_first_fault_in_field_order(type_id, line, error, message):
+    """A line with two faults gets ref_from_named's error: extra keys first,
+    then a missing key or a wrong kind, whichever comes first in field order."""
+    schema = schema_for(type_id)
+    assert _outcome(from_named, line, schema) == _outcome(ref_from_named, line, schema) == (error, message)
+
+
 def test_named_escapes():
     tricky = Benchmark(1, 'say "hi"', 2, "back\\slash")
     text = to_named(tricky, BENCHMARK)
